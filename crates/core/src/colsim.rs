@@ -17,10 +17,18 @@
 //! per query, each one a string merge over the two columns' value lists
 //! plus a header-vector cosine — the dominant edge-construction cost.
 //! When every view carries bind-time [`InternedFeatures`], the pairs are
-//! instead *admitted* through a per-query inverted index over each
-//! column's FNV-1a content signatures (normalized cell values, and
-//! header terms under a domain tag): two columns are admitted iff they
-//! share at least one signature bucket.
+//! instead *admitted* through each column's FNV-1a content signatures
+//! (normalized cell values, and header terms under a domain tag): two
+//! columns are admitted iff they share at least one signature.
+//!
+//! The index is one sorted vector of `(signature, table, column)`
+//! triples. Every run of equal signatures sets, for each pair of its
+//! members from different tables `i < j`, bit `cb` of the `u64` mask
+//! kept for column `ca` of `i` against table `j` — a dense slot table
+//! addressed by `(j, ca)`. A table pair whose masks are all zero is
+//! skipped outright; otherwise only the set bits are scored. Tables
+//! wider than 64 columns do not fit a mask: their pairs are scored
+//! densely, which is exact, just not accelerated.
 //!
 //! Skipping non-admitted pairs is **provably identical** to scoring
 //! them: equal strings always hash equal, so a non-admitted pair shares
@@ -34,6 +42,20 @@
 //! normalization sums accumulate identically and the resulting edges are
 //! bit-for-bit the dense loop's. If any view lacks signatures (the
 //! string-only oracle path), the dense loop runs unchanged.
+//!
+//! # Forced matchings
+//!
+//! Most table pairs need no matching flow at all. When the positive
+//! cells of the thresholded similarity matrix already form a partial
+//! matching — at most one per row and one per column — that matching is
+//! the **unique** optimum: every other one-one assignment either drops
+//! one of those cells (losing its positive weight) or uses a cell of
+//! weight `−∞`. The flow solver, whose shortest-path relaxation has a
+//! 1e-12 slack, reaches the same assignment whenever every positive
+//! weight is far above that slack; the similarity floor guarantees this
+//! (`min_column_sim` defaults to 0.1), and the shortcut is only taken
+//! when the floor exceeds [`FORCED_MIN_SIM`]. The cells are then emitted
+//! in row order, exactly as the solver's assignment is read.
 //!
 //! # The cross-query pair memo
 //!
@@ -49,10 +71,19 @@
 //! parameters it bakes in (ignored on mismatch) and must not outlive
 //! the table contents it describes — the engine replaces it whenever a
 //! live mutation can rebind a table id.
+//!
+//! A query maps its candidates twice: the stage-1 premap, then — when
+//! the second probe adds tables — the final map over stage 1 ++ stage 2,
+//! which revisits every stage-1 pair in the same relative order. A
+//! request-scoped memo ([`PairMemo::scoped`]) carries the premap's
+//! matchings into the final map even once the engine-wide memo is full:
+//! it is consulted before its parent, records every matching the request
+//! computes or replays, and forwards new ones to the parent.
 
 use crate::config::MapperConfig;
 use crate::view::{InternedFeatures, TableView};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use wwt_graph::{solve_assignment, Assignment};
 use wwt_model::WwtError;
@@ -76,8 +107,20 @@ pub struct EdgeStats {
 const MEMO_STRIPES: usize = 16;
 /// Per-stripe entry cap. Inserts beyond it are dropped (never evicted):
 /// the memo is an accelerator, not a source of truth, and a bounded one
-/// cannot grow without limit on a hostile workload.
+/// cannot grow without limit on a hostile workload. The cost is that an
+/// engine-wide memo saturates: at corpus scale 10 (19 170 tables) its
+/// 65 536 entries are full within the first ~100 cold queries, and it
+/// learns no new pair after that.
 const MEMO_STRIPE_CAP: usize = 4096;
+
+/// Smallest `min_column_sim` for which [`match_columns`] trusts a forced
+/// matching without running the flow (see "Forced matchings" in the
+/// module docs): three orders of magnitude above the solver's 1e-12
+/// relaxation slack.
+const FORCED_MIN_SIM: f64 = 1e-9;
+
+/// One table pair's matched `(col_a, col_b, sim)` list, as memoized.
+type Matched = Arc<Vec<(u32, u32, f64)>>;
 
 /// Cross-query memo of per-table-pair column matchings keyed by the
 /// `(table id, table id)` pair in visit order (see the module docs for
@@ -89,19 +132,53 @@ pub struct PairMemo {
     /// matchings depend on; a mismatching mapper bypasses the memo.
     min_sim_bits: u64,
     mix_bits: u64,
-    stripes: Vec<Mutex<HashMap<(u32, u32), Arc<Vec<(u32, u32, f64)>>>>>,
+    stripes: Vec<Mutex<HashMap<(u32, u32), Matched>>>,
+    /// The engine-wide memo behind a request-scoped one: consulted after
+    /// this memo's own entries and sent every matching computed here.
+    parent: Option<Arc<PairMemo>>,
+    /// Lookups answered by this memo's own entries (not its parent's).
+    own_hits: AtomicU64,
 }
 
 impl PairMemo {
     /// An empty memo fingerprinted for `cfg`'s similarity parameters.
     pub fn for_config(cfg: &MapperConfig) -> Self {
+        Self::new(
+            cfg.min_column_sim.to_bits(),
+            cfg.content_sim_mix.to_bits(),
+            None,
+        )
+    }
+
+    /// An empty request-scoped memo in front of `parent` (same
+    /// fingerprint). It records every matching it hands out — computed,
+    /// or replayed from the parent — so a later map in the same request
+    /// replays them whatever the parent kept; see the module docs.
+    pub fn scoped(parent: &Arc<PairMemo>) -> Self {
+        Self::new(
+            parent.min_sim_bits,
+            parent.mix_bits,
+            Some(Arc::clone(parent)),
+        )
+    }
+
+    fn new(min_sim_bits: u64, mix_bits: u64, parent: Option<Arc<PairMemo>>) -> Self {
         PairMemo {
-            min_sim_bits: cfg.min_column_sim.to_bits(),
-            mix_bits: cfg.content_sim_mix.to_bits(),
+            min_sim_bits,
+            mix_bits,
             stripes: (0..MEMO_STRIPES)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
+            parent,
+            own_hits: AtomicU64::new(0),
         }
+    }
+
+    /// Lookups answered by this memo's own entries rather than its
+    /// parent's. For a request-scoped memo after the final map: the pairs
+    /// replayed from the premap.
+    pub fn own_hits(&self) -> u64 {
+        self.own_hits.load(Ordering::Relaxed)
     }
 
     /// Whether cached matchings are valid under `cfg` — true iff the two
@@ -119,25 +196,40 @@ impl PairMemo {
             .sum()
     }
 
-    fn stripe(&self, key: (u32, u32)) -> &Mutex<HashMap<(u32, u32), Arc<Vec<(u32, u32, f64)>>>> {
+    fn stripe(&self, key: (u32, u32)) -> &Mutex<HashMap<(u32, u32), Matched>> {
         let h = (key.0 as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(key.1 as u64);
         &self.stripes[(h >> 32) as usize % MEMO_STRIPES]
     }
 
-    fn get(&self, key: (u32, u32)) -> Option<Arc<Vec<(u32, u32, f64)>>> {
-        self.stripe(key)
+    fn get(&self, key: (u32, u32)) -> Option<Matched> {
+        let own = self
+            .stripe(key)
             .lock()
             .expect("pair memo stripe poisoned")
             .get(&key)
-            .cloned()
+            .cloned();
+        if own.is_some() {
+            self.own_hits.fetch_add(1, Ordering::Relaxed);
+            return own;
+        }
+        let hit = self.parent.as_ref()?.get(key)?;
+        self.insert_own(key, Arc::clone(&hit));
+        Some(hit)
     }
 
-    fn insert(&self, key: (u32, u32), matched: Vec<(u32, u32, f64)>) {
+    fn insert(&self, key: (u32, u32), matched: Matched) {
+        if let Some(parent) = &self.parent {
+            parent.insert(key, Arc::clone(&matched));
+        }
+        self.insert_own(key, matched);
+    }
+
+    fn insert_own(&self, key: (u32, u32), matched: Matched) {
         let mut map = self.stripe(key).lock().expect("pair memo stripe poisoned");
         if map.len() < MEMO_STRIPE_CAP {
-            map.insert(key, Arc::new(matched));
+            map.insert(key, matched);
         }
     }
 }
@@ -209,50 +301,86 @@ pub fn build_edges(views: &[TableView<'_>], cfg: &MapperConfig) -> Vec<ColumnEdg
         .0
 }
 
-/// The inverted signature index: for each `(table, column)` pair the set of
-/// admitted partner columns per partner table, keyed `(i, j)` with `i < j`.
-type AdmitIndex = HashMap<(usize, usize), HashSet<(u32, u32)>>;
+/// Widest table the admission masks cover: column `cb` of a pair's later
+/// table is bit `cb` of a `u64`.
+const MASK_COLS: usize = 64;
 
-/// Builds the admission index over every kept view's content signatures, or
-/// `None` if any kept view lacks bind-time features (oracle path → dense).
-fn admission_index(views: &[TableView<'_>], kept: &[bool]) -> Option<AdmitIndex> {
-    let interned: Vec<Option<&InternedFeatures>> = views
-        .iter()
-        .zip(kept)
-        .map(|(v, &k)| if k { v.interned() } else { None })
-        .collect();
-    if interned.iter().zip(kept).any(|(f, &k)| k && f.is_none()) {
-        return None;
-    }
-    // Bucket: signature → every (table, column) containing it.
-    let mut buckets: HashMap<u64, Vec<(u32, u32)>> = HashMap::new();
-    for (t, f) in interned.iter().enumerate() {
-        let Some(f) = f else { continue };
-        for group in [&f.value_sigs, &f.header_sigs] {
-            for (c, sigs) in group.iter().enumerate() {
-                for &sig in sigs {
-                    buckets.entry(sig).or_default().push((t as u32, c as u32));
+/// The per-query content-signature index (see the module docs): for views
+/// `i < j` and column `ca` of `i`, the mask of `j`'s columns sharing at
+/// least one signature with it.
+struct AdmitIndex {
+    /// Number of columns of the views before each view.
+    col_base: Vec<usize>,
+    /// Total number of columns over all views: the stride of `masks`.
+    total_cols: usize,
+    /// `masks[j * total_cols + col_base[i] + ca]`, meaningful for `i < j`.
+    masks: Vec<u64>,
+    /// Views whose pairs go through the masks: kept, and at most
+    /// [`MASK_COLS`] columns wide. Pairs touching any other view are
+    /// scored densely.
+    indexed: Vec<bool>,
+}
+
+impl AdmitIndex {
+    /// Builds the index over every kept view's content signatures, or
+    /// `None` if any kept view lacks bind-time features (oracle path →
+    /// dense).
+    fn build(views: &[TableView<'_>], kept: &[bool]) -> Option<Self> {
+        let mut col_base = Vec::with_capacity(views.len());
+        let mut total_cols = 0;
+        for v in views {
+            col_base.push(total_cols);
+            total_cols += v.n_cols();
+        }
+        let mut indexed = vec![false; views.len()];
+        let mut entries: Vec<(u64, u32, u32)> = Vec::new();
+        for (t, v) in views.iter().enumerate() {
+            if !kept[t] {
+                continue;
+            }
+            let f: &InternedFeatures = v.interned()?;
+            if v.n_cols() > MASK_COLS {
+                continue;
+            }
+            indexed[t] = true;
+            for group in [&f.value_sigs, &f.header_sigs] {
+                for (c, sigs) in group.iter().enumerate() {
+                    entries.extend(sigs.iter().map(|&sig| (sig, t as u32, c as u32)));
                 }
             }
         }
-    }
-    let mut admit: AdmitIndex = HashMap::new();
-    for members in buckets.values() {
-        for (x, &(ti, ca)) in members.iter().enumerate() {
-            for &(tj, cb) in &members[x + 1..] {
-                if ti == tj {
-                    continue;
+        // Runs of one signature, members in (table, column) order — so
+        // within a run an earlier member never belongs to a later table.
+        entries.sort_unstable();
+        let mut masks = vec![0u64; views.len() * total_cols];
+        for run in entries.chunk_by(|a, b| a.0 == b.0) {
+            for (x, &(_, ti, ca)) in run.iter().enumerate() {
+                for &(_, tj, cb) in &run[x + 1..] {
+                    if ti != tj {
+                        let slot = tj as usize * total_cols + col_base[ti as usize] + ca as usize;
+                        masks[slot] |= 1 << cb;
+                    }
                 }
-                let (key, pair) = if ti < tj {
-                    ((ti as usize, tj as usize), (ca, cb))
-                } else {
-                    ((tj as usize, ti as usize), (cb, ca))
-                };
-                admit.entry(key).or_default().insert(pair);
             }
         }
+        Some(AdmitIndex {
+            col_base,
+            total_cols,
+            masks,
+            indexed,
+        })
     }
-    Some(admit)
+
+    /// The masks of pair `i < j`, one per column of `i`; `None` when the
+    /// pair is scored densely.
+    fn pair(&self, i: usize, j: usize) -> Option<&[u64]> {
+        if !(self.indexed[i] && self.indexed[j]) {
+            return None;
+        }
+        // `i < j`, so view `i + 1` exists and bounds `i`'s columns.
+        let row = j * self.total_cols;
+        Some(&self.masks[row + self.col_base[i]..row + self.col_base[i + 1]])
+    }
 }
 
 /// [`build_edges`] with an optional table keep-mask (pruned tables, from the
@@ -291,40 +419,38 @@ pub fn build_edges_pruned(
             if !kept[j] {
                 continue;
             }
+            let (na, nb) = (views[i].n_cols(), views[j].n_cols());
             let key = (views[i].table.id.0, views[j].table.id.0);
             if let Some(m) = memo {
                 if let Some(hit) = m.get(key) {
-                    stats.pairs_memoized += (views[i].n_cols() * views[j].n_cols()) as u64;
+                    stats.pairs_memoized += (na * nb) as u64;
                     for &(ca, cb, sim) in hit.iter() {
                         raw.push(((i, ca as usize), (j, cb as usize), sim));
                     }
                     continue;
                 }
             }
-            let admit = admit.get_or_insert_with(|| admission_index(views, &kept));
-            let mask = match admit {
-                Some(index) => match index.get(&(i, j)) {
-                    Some(set) => Some(set),
-                    None => {
-                        // No column pair shares a signature: every
-                        // similarity is exactly zero, no edges possible.
-                        stats.pairs_skipped += (views[i].n_cols() * views[j].n_cols()) as u64;
-                        if let Some(m) = memo {
-                            m.insert(key, Vec::new());
-                        }
-                        continue;
-                    }
-                },
-                None => None,
-            };
+            let admit = admit.get_or_insert_with(|| AdmitIndex::build(views, &kept));
+            let mask = admit.as_ref().and_then(|index| index.pair(i, j));
+            if mask.is_some_and(|m| m.iter().all(|&bits| bits == 0)) {
+                // No column pair shares a signature: every similarity is
+                // exactly zero, no edges possible.
+                stats.pairs_skipped += (na * nb) as u64;
+                if let Some(m) = memo {
+                    m.insert(key, Matched::default());
+                }
+                continue;
+            }
             let matched = match_columns(&views[i], &views[j], cfg, mask, &mut stats);
             if let Some(m) = memo {
                 m.insert(
                     key,
-                    matched
-                        .iter()
-                        .map(|&(ca, cb, sim)| (ca as u32, cb as u32, sim))
-                        .collect(),
+                    Arc::new(
+                        matched
+                            .iter()
+                            .map(|&(ca, cb, sim)| (ca as u32, cb as u32, sim))
+                            .collect(),
+                    ),
                 );
             }
             for (ca, cb, sim) in matched {
@@ -354,31 +480,30 @@ pub fn build_edges_pruned(
 /// One-one max-weight matching between the columns of two tables; returns
 /// `(col_a, col_b, sim)` for matched pairs above the similarity floor.
 ///
-/// With an admission mask, only admitted cells are scored; the rest keep
-/// similarity `0.0` — exactly what scoring them would produce (no shared
-/// signature ⟹ no shared value, no shared header term).
+/// With admission masks (one per column of `va`), only admitted cells are
+/// scored; the rest keep similarity `0.0` — exactly what scoring them
+/// would produce (no shared signature ⟹ no shared value, no shared header
+/// term).
 fn match_columns(
     va: &TableView<'_>,
     vb: &TableView<'_>,
     cfg: &MapperConfig,
-    mask: Option<&HashSet<(u32, u32)>>,
+    mask: Option<&[u64]>,
     stats: &mut EdgeStats,
 ) -> Vec<(usize, usize, f64)> {
     let (na, nb) = (va.n_cols(), vb.n_cols());
-    let mut sims = vec![vec![0.0f64; nb]; na];
+    let mut sims = vec![0.0f64; na * nb];
     let mut any = false;
-    for (ca, row) in sims.iter_mut().enumerate() {
-        for (cb, s) in row.iter_mut().enumerate() {
-            if let Some(set) = mask {
-                if !set.contains(&(ca as u32, cb as u32)) {
-                    stats.pairs_skipped += 1;
-                    continue;
-                }
+    for ca in 0..na {
+        for cb in 0..nb {
+            if mask.is_some_and(|m| (m[ca] >> cb) & 1 == 0) {
+                stats.pairs_skipped += 1;
+                continue;
             }
             stats.pairs_scored += 1;
             let v = column_similarity(va, ca, vb, cb, cfg.content_sim_mix);
             if v >= cfg.min_column_sim {
-                *s = v;
+                sims[ca * nb + cb] = v;
                 any = true;
             }
         }
@@ -386,10 +511,40 @@ fn match_columns(
     if !any {
         return Vec::new();
     }
-    // Assignment: items = columns of a; bins = columns of b (cap 1) plus an
-    // "unmatched" bin with enough capacity for everyone.
+    if cfg.min_column_sim > FORCED_MIN_SIM {
+        if let Some(forced) = forced_matching(&sims, nb) {
+            return forced;
+        }
+    }
+    flow_matching(&sims, na, nb)
+}
+
+/// The matching of a thresholded `na × nb` similarity matrix (row-major)
+/// whose positive cells already form a partial matching — at most one per
+/// row and per column — listed in row order; `None` when they do not.
+/// Such a matching is the unique optimum (see "Forced matchings" in the
+/// module docs).
+fn forced_matching(sims: &[f64], nb: usize) -> Option<Vec<(usize, usize, f64)>> {
+    let mut col_taken = vec![false; nb];
+    let mut out = Vec::new();
+    for (ca, row) in sims.chunks_exact(nb).enumerate() {
+        let mut positive = row.iter().enumerate().filter(|&(_, &s)| s > 0.0);
+        if let Some((cb, &s)) = positive.next() {
+            if positive.next().is_some() || std::mem::replace(&mut col_taken[cb], true) {
+                return None;
+            }
+            out.push((ca, cb, s));
+        }
+    }
+    Some(out)
+}
+
+/// The one-one max-weight matching of a thresholded `na × nb` similarity
+/// matrix by min-cost flow: items are the rows; bins are the columns
+/// (capacity 1) plus an "unmatched" bin with room for every row.
+fn flow_matching(sims: &[f64], na: usize, nb: usize) -> Vec<(usize, usize, f64)> {
     let weights: Vec<Vec<f64>> = sims
-        .iter()
+        .chunks_exact(nb)
         .map(|row| {
             let mut r: Vec<f64> = row
                 .iter()
@@ -401,15 +556,14 @@ fn match_columns(
         .collect();
     let mut bin_caps = vec![1u32; nb];
     bin_caps.push(na as u32);
-    let sol = match solve_assignment(&Assignment { bin_caps, weights }) {
-        Some(s) => s,
-        None => return Vec::new(),
+    let Some(sol) = solve_assignment(&Assignment { bin_caps, weights }) else {
+        return Vec::new();
     };
     sol.assignment
         .iter()
         .enumerate()
         .filter(|&(_, &b)| b < nb)
-        .map(|(ca, &cb)| (ca, cb, sims[ca][cb]))
+        .map(|(ca, &cb)| (ca, cb, sims[ca * nb + cb]))
         .filter(|&(_, _, s)| s > 0.0)
         .collect()
 }
@@ -417,6 +571,7 @@ fn match_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::TableFeatures;
     use wwt_model::{TableId, WebTable};
     use wwt_text::CorpusStats;
 
@@ -755,5 +910,203 @@ mod tests {
         );
         let views = vec![TableView::new(&t1, &stats, 0.3)];
         assert!(build_edges(&views, &cfg()).is_empty());
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn forced_matchings_equal_the_flow_solution() {
+        // Duplicate levels on purpose: exact ties between cells.
+        let levels = [0.1, 0.25, 0.5, 0.5, 0.75, 1.0];
+        let mut state = 0x00C0_15E5_u64;
+        let mut next = |n: usize| (splitmix(&mut state) % n as u64) as usize;
+        let (mut forced, mut unforced) = (0, 0);
+        for _ in 0..500 {
+            let (na, nb) = (1 + next(6), 1 + next(6));
+            let mut sims = vec![0.0; na * nb];
+            // A random partial matching (rows past it stay all-zero)…
+            let mut cols: Vec<usize> = (0..nb).collect();
+            for k in (1..nb).rev() {
+                cols.swap(k, next(k + 1));
+            }
+            for (ca, &cb) in cols.iter().enumerate().take(na) {
+                if next(3) != 0 {
+                    sims[ca * nb + cb] = levels[next(levels.len())];
+                }
+            }
+            // …plus, sometimes, one extra cell that may break it.
+            if next(4) == 0 {
+                sims[next(na * nb)] = levels[next(levels.len())];
+            }
+            match forced_matching(&sims, nb) {
+                Some(m) => {
+                    forced += 1;
+                    assert_eq!(m, flow_matching(&sims, na, nb), "{na}x{nb} {sims:?}");
+                }
+                None => unforced += 1,
+            }
+        }
+        assert!(
+            forced > 300 && unforced > 20,
+            "{forced} forced, {unforced} not"
+        );
+
+        // All-zero rows around a single cell.
+        let sims = [0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0];
+        assert_eq!(forced_matching(&sims, 3), Some(vec![(1, 1, 0.5)]));
+        assert_eq!(flow_matching(&sims, 3, 3), vec![(1, 1, 0.5)]);
+        // Exactly equal values on a diagonal.
+        let sims = [0.5, 0.0, 0.0, 0.5];
+        let diagonal = vec![(0, 0, 0.5), (1, 1, 0.5)];
+        assert_eq!(forced_matching(&sims, 2), Some(diagonal.clone()));
+        assert_eq!(flow_matching(&sims, 2, 2), diagonal);
+        // Not forced: row 0 has two candidates, and taking its best cell
+        // (0.6) would lose the better anti-diagonal (0.5 + 0.5).
+        let sims = [0.6, 0.5, 0.5, 0.0];
+        assert_eq!(forced_matching(&sims, 2), None);
+        assert_eq!(flow_matching(&sims, 2, 2), vec![(0, 1, 0.5), (1, 0, 0.5)]);
+    }
+
+    /// A table with `n` columns whose column `k` holds `col{k}-a`,
+    /// `col{k}-b` — except column 65, which repeats table 0's countries.
+    fn wide_table(id: u32, n: usize) -> WebTable {
+        let headers: Vec<String> = (0..n).map(|k| format!("h{k}")).collect();
+        let cols: Vec<Vec<String>> = (0..n)
+            .map(|k| match k {
+                65 => vec!["India".into(), "Japan".into()],
+                _ => vec![format!("col{k}-a"), format!("col{k}-b")],
+            })
+            .collect();
+        make(
+            id,
+            headers.iter().map(String::as_str).collect(),
+            cols.iter()
+                .map(|c| c.iter().map(String::as_str).collect())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn bitmask_index_admits_exactly_the_pairs_sharing_a_signature() {
+        let stats = CorpusStats::new();
+        let mut tables = mixed_tables();
+        tables.push(wide_table(4, 70));
+        let mut feats: Vec<TableFeatures> = tables
+            .iter()
+            .map(|t| TableFeatures::compute(t, &stats, 0.3))
+            .collect();
+        // A forced hash collision: table 3's "Symbol" column (Fe, Au)
+        // claims the signature of one of table 0's currencies.
+        let stolen = feats[0].interned.as_ref().unwrap().value_sigs[1][0];
+        let sigs = &mut feats[3].interned.as_mut().unwrap().value_sigs[1];
+        sigs.push(stolen);
+        sigs.sort_unstable();
+        let views: Vec<TableView<'_>> = tables
+            .iter()
+            .zip(feats)
+            .map(|(t, f)| TableView::with_features(t, Arc::new(f)))
+            .collect();
+        let shares = |i: usize, ca: usize, j: usize, cb: usize| {
+            let sigs = |v: &TableView<'_>, c: usize| -> std::collections::HashSet<u64> {
+                let f = v.interned().unwrap();
+                f.value_sigs[c]
+                    .iter()
+                    .chain(&f.header_sigs[c])
+                    .copied()
+                    .collect()
+            };
+            !sigs(&views[i], ca).is_disjoint(&sigs(&views[j], cb))
+        };
+        let index = AdmitIndex::build(&views, &[true; 5]).unwrap();
+        for i in 0..views.len() {
+            for j in (i + 1)..views.len() {
+                let (na, nb) = (views[i].n_cols(), views[j].n_cols());
+                let Some(masks) = index.pair(i, j) else {
+                    assert_eq!(j, 4, "only the 70-column table is scored densely");
+                    continue;
+                };
+                for ca in 0..na {
+                    for cb in 0..nb {
+                        let admitted = (masks[ca] >> cb) & 1 == 1;
+                        assert_eq!(admitted, shares(i, ca, j, cb), "({i},{ca})~({j},{cb})");
+                    }
+                }
+            }
+        }
+        assert_eq!(index.pair(0, 3).unwrap()[1], 0b10, "the collision admits");
+
+        // Admission (collision and dense wide table included) is exact.
+        let oracle: Vec<TableView<'_>> = tables
+            .iter()
+            .map(|t| TableView::new_oracle(t, &stats, 0.3))
+            .collect();
+        let (indexed, _) = build_edges_pruned(&views, &cfg(), None, None, None).unwrap();
+        let (dense, _) = build_edges_pruned(&oracle, &cfg(), None, None, None).unwrap();
+        assert!(indexed.iter().any(|e| e.a == (0, 0) && e.b == (4, 65)));
+        assert_eq!(indexed.len(), dense.len());
+        for (a, b) in indexed.iter().zip(&dense) {
+            assert_eq!((a.a, a.b), (b.a, b.b));
+            assert_eq!(a.sim.to_bits(), b.sim.to_bits());
+            assert_eq!(a.nsim_ab.to_bits(), b.nsim_ab.to_bits());
+            assert_eq!(a.nsim_ba.to_bits(), b.nsim_ba.to_bits());
+        }
+    }
+
+    #[test]
+    fn pair_counters_cover_every_visited_cell_with_and_without_a_carry() {
+        let stats = CorpusStats::new();
+        let mut tables = mixed_tables();
+        tables.push(wide_table(4, 70));
+        let views: Vec<TableView<'_>> = tables
+            .iter()
+            .map(|t| TableView::new(t, &stats, 0.3))
+            .collect();
+        let cells = |n: usize| -> u64 {
+            let mut sum = 0;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    sum += (views[i].n_cols() * views[j].n_cols()) as u64;
+                }
+            }
+            sum
+        };
+        let total = |s: &EdgeStats| s.pairs_scored + s.pairs_skipped + s.pairs_memoized;
+        let (reference, plain) = build_edges_pruned(&views, &cfg(), None, None, None).unwrap();
+        assert_eq!(total(&plain), cells(5));
+        assert_eq!(plain.pairs_memoized, 0);
+
+        // Two requests over one engine-wide memo, each mapping its first
+        // three tables (premap) and then all five (final map) through a
+        // request-scoped memo. The final map replays the premap's three
+        // pairs from the carry whether the parent knew them or not.
+        let parent = Arc::new(PairMemo::for_config(&cfg()));
+        for request in 0..2 {
+            let carry = PairMemo::scoped(&parent);
+            let (_, pre) =
+                build_edges_pruned(&views[..3], &cfg(), None, None, Some(&carry)).unwrap();
+            assert_eq!(total(&pre), cells(3), "request {request}");
+            let from_parent = if request == 0 { 0 } else { cells(3) };
+            assert_eq!(pre.pairs_memoized, from_parent, "request {request}");
+            assert_eq!(carry.own_hits(), 0, "request {request}");
+            let (edges, fin) =
+                build_edges_pruned(&views, &cfg(), None, None, Some(&carry)).unwrap();
+            assert_eq!(total(&fin), cells(5), "request {request}");
+            assert_eq!(carry.own_hits(), 3, "request {request}");
+            let from_parent = if request == 0 { cells(3) } else { cells(5) };
+            assert_eq!(fin.pairs_memoized, from_parent, "request {request}");
+            assert_eq!(edges.len(), reference.len());
+            for (a, b) in edges.iter().zip(&reference) {
+                assert_eq!((a.a, a.b), (b.a, b.b));
+                assert_eq!(a.nsim_ab.to_bits(), b.nsim_ab.to_bits());
+                assert_eq!(a.nsim_ba.to_bits(), b.nsim_ba.to_bits());
+            }
+        }
+        assert_eq!(parent.entries(), 10, "every pair reached the parent");
     }
 }

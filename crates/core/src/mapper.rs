@@ -30,7 +30,8 @@ pub struct MapStats {
     /// Column pairs skipped by the content-signature index (similarity
     /// provably zero).
     pub edge_pairs_skipped: u64,
-    /// Column pairs replayed from the engine's cross-query pair memo.
+    /// Column pairs replayed from the engine's cross-query pair memo, or
+    /// carried from the same request's premap.
     pub edge_pairs_memoized: u64,
     /// Tables whose relevant upper bound could not beat all-`nr` (the
     /// always-on exact solver early exit fires for these under
@@ -125,9 +126,9 @@ pub struct ColumnMapper {
     /// Inference algorithm to run.
     pub algorithm: InferenceAlgorithm,
     /// Optional cross-query memo of per-table-pair column matchings
-    /// (see [`PairMemo`]); typically the owning engine's, shared by all
-    /// of its queries. A memo fingerprinted for different similarity
-    /// parameters is ignored.
+    /// (see [`PairMemo`]); typically a request-scoped memo in front of
+    /// the owning engine's, which all of its queries share. A memo
+    /// fingerprinted for different similarity parameters is ignored.
     pub pair_memo: Option<std::sync::Arc<PairMemo>>,
 }
 

@@ -18,7 +18,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wwt_consolidate::{consolidate, RelevantInput};
-use wwt_core::{ColumnMapper, InferenceAlgorithm, MappingResult, TableFeatures, TableView};
+use wwt_core::{
+    ColumnMapper, InferenceAlgorithm, MappingResult, PairMemo, TableFeatures, TableView,
+};
 use wwt_html::extract_tables;
 use wwt_index::{
     DocSets, JournalRecord, LiveIndex, LiveOp, SearchHit, ShardedIndex, ShardedIndexBuilder,
@@ -206,7 +208,7 @@ pub struct Engine {
     /// every query on this engine shares one memo. Replaced — not
     /// carried over — on live mutations, since an ingest can rebind a
     /// table id to new content.
-    pair_memo: Arc<wwt_core::PairMemo>,
+    pair_memo: Arc<PairMemo>,
 }
 
 /// The delta segment and the bind-time state riding with it: feature
@@ -281,6 +283,7 @@ impl Engine {
             &Deadline::none(),
             &Trace::disabled(),
             &FailSoft::off(),
+            &self.pair_memo,
         )
         .map(|(retrieval, _)| retrieval)
         .expect("retrieval without a deadline cannot time out")
@@ -304,6 +307,7 @@ impl Engine {
             deadline,
             &Trace::disabled(),
             &FailSoft::off(),
+            &self.pair_memo,
         )
         .map(|(retrieval, _)| retrieval)
     }
@@ -447,7 +451,9 @@ impl Engine {
     /// Retrieval plus the stage-1 pre-mapping it computed along the way
     /// (reusable as the final mapping when the second probe adds
     /// nothing). Fails only when `deadline` expires at the boundary
-    /// between the first and second probe.
+    /// between the first and second probe. The pre-mapping's table-pair
+    /// matchings go through `memo`.
+    #[allow(clippy::too_many_arguments)]
     fn retrieve_with(
         &self,
         query: &Query,
@@ -455,6 +461,7 @@ impl Engine {
         deadline: &Deadline,
         trace: &Trace,
         soft: &FailSoft,
+        memo: &Arc<PairMemo>,
     ) -> Result<(Retrieval, MappingResult), WwtError> {
         let mut timing = StageTimings::default();
 
@@ -504,7 +511,7 @@ impl Engine {
         let mapper = ColumnMapper {
             config: cfg.mapper.clone(),
             algorithm: cfg.algorithm,
-            pair_memo: Some(Arc::clone(&self.pair_memo)),
+            pair_memo: Some(Arc::clone(memo)),
         };
         let pre = match self.map_traced(
             &mapper,
@@ -729,7 +736,11 @@ impl Engine {
         deadline: &Deadline,
         soft: &FailSoft,
     ) -> Result<QueryResponse, WwtError> {
-        let (retrieval, premap) = self.retrieve_with(query, cfg, deadline, trace, soft)?;
+        // The final map revisits every stage-1 table pair the premap just
+        // matched: a request-scoped memo carries those matchings forward
+        // even when the engine-wide memo is full.
+        let memo = Arc::new(PairMemo::scoped(&self.pair_memo));
+        let (retrieval, premap) = self.retrieve_with(query, cfg, deadline, trace, soft, &memo)?;
         let mut timing = retrieval.timing.clone();
         let mut candidates = retrieval.candidates();
 
@@ -784,11 +795,17 @@ impl Engine {
             let mapper = ColumnMapper {
                 config: cfg.mapper.clone(),
                 algorithm,
-                pair_memo: Some(Arc::clone(&self.pair_memo)),
+                pair_memo: Some(Arc::clone(&memo)),
             };
             match self.map_traced(&mapper, query, &tables, trace, deadline, "column_map") {
                 Ok(mapping) => {
                     timing.column_map += t0.elapsed();
+                    if trace.is_enabled() {
+                        trace.note(
+                            "column_map",
+                            format!("carried {} premap pairs", memo.own_hits()),
+                        );
+                    }
                     mapping
                 }
                 Err(e) if soft.is_on() => {
@@ -807,6 +824,11 @@ impl Engine {
                 Err(e) => return Err(e),
             }
         };
+        // Free the carried matchings before the response is built, so the
+        // cached response reuses their memory instead of being allocated
+        // around them: a response scattered that way made every later
+        // cache hit that encodes it ~15 % slower (`hot_repeat`).
+        drop(memo);
         // Diagnostics counters cover every mapper run this request made:
         // the final map plus the premap when the latter wasn't reused
         // (reuse — including the fail-soft fallback onto the premap —
@@ -1056,7 +1078,7 @@ impl Engine {
             index: Arc::new(index),
             store: Arc::new(store),
             features: Arc::new(features),
-            pair_memo: Arc::new(wwt_core::PairMemo::for_config(&config.mapper)),
+            pair_memo: Arc::new(PairMemo::for_config(&config.mapper)),
             config,
             live: None,
         }
@@ -1290,7 +1312,7 @@ impl Engine {
         let mut next = self.clone();
         // A mutation can rebind a table id to different content, which
         // would poison memoized pair matchings keyed by id: start fresh.
-        next.pair_memo = Arc::new(wwt_core::PairMemo::for_config(&self.config.mapper));
+        next.pair_memo = Arc::new(PairMemo::for_config(&self.config.mapper));
         next.live = if live.is_empty() && features.is_empty() {
             // An overlay that cancelled itself out (add then remove):
             // drop it so the engine takes the frozen-only paths again.

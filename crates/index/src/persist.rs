@@ -89,6 +89,9 @@ fn parse_bytes(data: &[u8]) -> Result<FrozenShard, WwtError> {
         return Err(WwtError::Corrupt("bad index magic".into()));
     }
     let n_docs = buf.get_u32_le() as usize;
+    // Each doc row is 16 bytes: a count the rest of the file cannot hold
+    // is corruption, not a reason to allocate it.
+    check(n_docs <= buf.remaining() / 16, "doc table")?;
     let mut doc_tables = Vec::with_capacity(n_docs);
     let mut field_lens = Vec::with_capacity(n_docs);
     for _ in 0..n_docs {

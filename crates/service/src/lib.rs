@@ -1178,7 +1178,11 @@ mod tests {
             ..ServiceConfig::default()
         };
         let service = Arc::new(TableSearchService::with_config(small_engine(), no_cache));
-        let request = QueryRequest::parse("country | currency").unwrap();
+        // The slowest algorithm keeps the leader's flight open long enough
+        // for the callers the barrier releases to join it.
+        let request = QueryRequest::parse("country | currency")
+            .unwrap()
+            .algorithm(InferenceAlgorithm::BeliefPropagation);
         let barrier = std::sync::Barrier::new(CALLERS);
         std::thread::scope(|scope| {
             for _ in 0..CALLERS {

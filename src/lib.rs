@@ -329,7 +329,14 @@
 //!   overlap *and* zero header cosine, so its similarity is exactly
 //!   `0.0` and it never produced an edge on the dense path either —
 //!   skipping it is provably identical, and the masked scorer preserves
-//!   the dense emission order.
+//!   the dense emission order. The index is a sorted run of
+//!   `(signature, table, column)` triples that yields one `u64` column
+//!   mask per (table pair, column); tables wider than 64 columns are
+//!   scored densely.
+//! * **Forced matchings** (always on): when the thresholded similarity
+//!   matrix of a table pair has at most one positive cell per row and
+//!   per column — most pairs — those cells are the unique max-weight
+//!   matching and are emitted without running the min-cost flow.
 //! * **Cross-query pair memoization** (always on): the per-pair column
 //!   matching of §3.3 depends only on the two table views and two
 //!   mapper-config scalars — never on the query (the per-query `nsim`
@@ -338,7 +345,12 @@
 //!   `(col, col, sim)` lists keyed by table-id pair and replays them on
 //!   later queries that retrieve the same pair, which is bit-identical
 //!   to recomputation. Live mutations swap in a fresh memo because
-//!   ingest can rebind a table id to new content.
+//!   ingest can rebind a table id to new content. The engine-wide memo
+//!   stops learning once full, so each request also maps through a
+//!   request-scoped memo in front of it: when the second probe adds
+//!   tables, the final map replays every stage-1 pair the premap
+//!   matched (counted as memoized; explain traces note
+//!   `"column_map": "carried N premap pairs"`).
 //! * **Aggressive candidate pruning** (`"early_exit": true` per
 //!   request, default **off**): collapses the label space of columns
 //!   with zero similarity to every query column and drops tables whose

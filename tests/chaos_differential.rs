@@ -12,6 +12,7 @@
 //! on [`CHAOS`] and disarms before and after its faults.
 
 use std::sync::{Arc, Mutex, OnceLock};
+use wwt::core::ColumnMapper;
 use wwt::corpus::{workload, CorpusConfig, CorpusGenerator};
 use wwt::engine::{bind_corpus, Engine, QueryRequest, WwtConfig};
 use wwt::index::{FsyncPolicy, Journal};
@@ -239,4 +240,82 @@ fn fail_soft_absorbs_faults_into_flagged_degraded_subsets() {
         // The degraded answer is still shaped like an answer.
         assert_eq!(soft.table.columns.len(), request.query.q());
     }
+}
+
+/// Arms `site` with `behavior` so that it fires once, on its `hit`-th
+/// evaluation (0-based) from now: the `~1inK` sampler is seeded and
+/// deterministic, so the test reads the firing pattern of each `K` off
+/// the site itself and keeps the first whose first firing is `hit`.
+fn arm_on_hit(site: &str, behavior: &str, hit: u64) {
+    for k in 2..10_000u64 {
+        wwt_chaos::arm(&format!("{site}=error~1in{k}")).unwrap();
+        if (0..=hit).find(|_| wwt_chaos::evaluate(site).is_some()) == Some(hit) {
+            // Re-arming resets the site's counters.
+            wwt_chaos::arm(&format!("{site}={behavior}*1~1in{k}")).unwrap();
+            return;
+        }
+    }
+    panic!("no sampler fires {site} first on hit {hit}");
+}
+
+/// Fail-soft with a deadline that expires during the second probe: the
+/// column mapping is cut back to the first-probe candidates, and what is
+/// served for them is exactly the stage-1 premap — the same mapping a
+/// fresh, memo-free mapper computes over those tables.
+#[test]
+fn fail_soft_mapping_cut_serves_exactly_the_premap_prefix() {
+    let _guard = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    wwt_chaos::disarm_all();
+    let engine = shared_engine();
+    let stats = engine.index().stats();
+    let mut exercised = 0;
+    for request in requests() {
+        let healthy = engine.answer(&request).unwrap();
+        if healthy.retrieval.stage2.is_empty() {
+            continue;
+        }
+        exercised += 1;
+        // The first probe evaluates the shard failpoint once per shard;
+        // the next evaluation is the second probe, which sleeps past the
+        // budget after its own deadline check has passed.
+        arm_on_hit(
+            wwt_chaos::PROBE_SHARD,
+            "delay:1500",
+            engine.n_shards() as u64,
+        );
+        let cut = engine.answer(&request.clone().deadline_ms(1000).fail_soft(true));
+        wwt_chaos::disarm_all();
+        let cut = cut.unwrap();
+        let reasons = &cut.diagnostics.degraded_reasons;
+        assert!(
+            reasons
+                .iter()
+                .any(|r| r.contains("limited to first-probe candidates")),
+            "reasons: {reasons:?}"
+        );
+        assert_eq!(cut.candidates, healthy.retrieval.stage1);
+        assert_eq!(cut.mapping.labelings.len(), cut.candidates.len());
+        let tables: Vec<&WebTable> = cut
+            .candidates
+            .iter()
+            .map(|&id| engine.store().get(id).unwrap())
+            .collect();
+        let fresh = ColumnMapper {
+            config: engine.config().mapper.clone(),
+            algorithm: engine.config().algorithm,
+            pair_memo: None,
+        }
+        .map(&request.query, &tables, stats, Some(engine.index()));
+        assert_eq!(cut.mapping.labelings, fresh.labelings);
+        assert_eq!(cut.mapping.confident, fresh.confident);
+        for (a, b) in cut
+            .mapping
+            .table_relevance
+            .iter()
+            .zip(&fresh.table_relevance)
+        {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+    assert!(exercised > 0, "no request reached the second probe");
 }

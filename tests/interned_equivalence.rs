@@ -14,9 +14,11 @@
 //! property-style loop drives per-request option draws from a
 //! deterministic SplitMix64 stream, so failures reproduce.
 
-use wwt::core::{InferenceAlgorithm, MapperConfig};
+use wwt::core::{ColumnMapper, InferenceAlgorithm, MapperConfig, TableView};
 use wwt::corpus::{workload, CorpusConfig, CorpusGenerator, GeneratedCorpus};
 use wwt::engine::{bind_corpus_sharded, Engine, QueryOptions, QueryRequest, WwtConfig};
+use wwt::index::DocSets;
+use wwt::model::WebTable;
 use wwt::server::wire::encode_response;
 
 const ALGORITHMS: [InferenceAlgorithm; 5] = [
@@ -161,6 +163,80 @@ fn random_option_draws_match_the_oracle() {
             canonical_bytes(&request, &oracle),
             canonical_bytes(&request, &fast),
             "case {case}: option-draw drift"
+        );
+    }
+}
+
+/// The final map carries the premap's table-pair matchings through a
+/// request-scoped memo. Whenever the second probe added tables, the
+/// mapping the engine served must equal a from-scratch, memo-free map of
+/// the same candidates — down to the relevance and probability bits.
+#[test]
+fn carried_premap_pairs_match_a_fresh_memo_free_map() {
+    let (generated, queries) = corpus(4, 0.05);
+    let engine = bind_corpus_sharded(&generated, WwtConfig::default(), Some(2)).engine;
+    let stats = engine.index().stats();
+    let docsets: &dyn DocSets = engine.index();
+    let mut state = 0xCA77_1ED0_u64;
+    for algorithm in ALGORITHMS {
+        let mut probe2_fired = 0;
+        for query in &queries {
+            for _ in 0..3 {
+                let options = QueryOptions {
+                    algorithm: Some(algorithm),
+                    probe2_k: Some(1 + (splitmix(&mut state) as usize) % 12),
+                    high_relevance: Some(((splitmix(&mut state) % 61) as f64) / 100.0),
+                    early_exit: knob_on(),
+                    ..QueryOptions::default()
+                };
+                let request = QueryRequest {
+                    query: query.clone(),
+                    options,
+                };
+                let response = engine.answer(&request).unwrap();
+                if response.retrieval.stage2.is_empty() {
+                    continue;
+                }
+                probe2_fired += 1;
+                let tables: Vec<&WebTable> = response
+                    .candidates
+                    .iter()
+                    .map(|&id| engine.store().get(id).unwrap())
+                    .collect();
+                let mut config = engine.config().mapper.clone();
+                config.early_exit |= knob_on();
+                let views: Vec<TableView<'_>> = tables
+                    .iter()
+                    .map(|t| TableView::new(t, stats, config.body_freq_frac))
+                    .collect();
+                let fresh = ColumnMapper {
+                    config,
+                    algorithm,
+                    pair_memo: None,
+                }
+                .map_views(query, &views, stats, Some(docsets));
+                let served = &response.mapping;
+                let context = format!("{algorithm:?} {request:?}");
+                assert_eq!(served.labelings, fresh.labelings, "{context}");
+                assert_eq!(served.confident, fresh.confident, "{context}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&served.table_relevance),
+                    bits(&fresh.table_relevance),
+                    "{context}"
+                );
+                assert_eq!(served.column_probs.len(), fresh.column_probs.len());
+                for (a, b) in served.column_probs.iter().zip(&fresh.column_probs) {
+                    assert_eq!(a.len(), b.len(), "{context}");
+                    for (pa, pb) in a.iter().zip(b) {
+                        assert_eq!(bits(pa), bits(pb), "{context}");
+                    }
+                }
+            }
+        }
+        assert!(
+            probe2_fired > 0,
+            "{algorithm:?}: the second probe never fired"
         );
     }
 }
