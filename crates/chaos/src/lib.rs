@@ -4,9 +4,7 @@
 //! chaos-enabled deployment) can inject a fault: a panic, an I/O error,
 //! or a delay. Sites are compiled in permanently and are designed to be
 //! free when nothing is armed: [`evaluate`] is two relaxed atomic loads
-//! and a predictable branch — no locks, no allocation, no syscalls (the
-//! `fail_soft_overhead` series in `BENCH_query_path.json` prices the
-//! disarmed path end to end).
+//! and a predictable branch — no locks, no allocation, no syscalls.
 //!
 //! Arming happens through the `WWT_CHAOS` environment variable (read
 //! once, at the first evaluation) or programmatically via [`arm`]. The

@@ -296,7 +296,7 @@ fn sorted_intersection_count(a: &[String], b: &[String]) -> usize {
 /// `cfg.min_column_sim` dropped), then `nsim` normalization over each
 /// column's kept neighborhood.
 pub fn build_edges(views: &[TableView<'_>], cfg: &MapperConfig) -> Vec<ColumnEdge> {
-    build_edges_pruned(views, cfg, None, None, None)
+    build_edges_with(views, cfg, None, None)
         .expect("infallible without a cancel hook")
         .0
 }
@@ -315,17 +315,15 @@ struct AdmitIndex {
     total_cols: usize,
     /// `masks[j * total_cols + col_base[i] + ca]`, meaningful for `i < j`.
     masks: Vec<u64>,
-    /// Views whose pairs go through the masks: kept, and at most
-    /// [`MASK_COLS`] columns wide. Pairs touching any other view are
-    /// scored densely.
+    /// Views whose pairs go through the masks: at most [`MASK_COLS`]
+    /// columns wide. Pairs touching any other view are scored densely.
     indexed: Vec<bool>,
 }
 
 impl AdmitIndex {
-    /// Builds the index over every kept view's content signatures, or
-    /// `None` if any kept view lacks bind-time features (oracle path →
-    /// dense).
-    fn build(views: &[TableView<'_>], kept: &[bool]) -> Option<Self> {
+    /// Builds the index over every view's content signatures, or `None`
+    /// if any view lacks bind-time features (oracle path → dense).
+    fn build(views: &[TableView<'_>]) -> Option<Self> {
         let mut col_base = Vec::with_capacity(views.len());
         let mut total_cols = 0;
         for v in views {
@@ -335,9 +333,6 @@ impl AdmitIndex {
         let mut indexed = vec![false; views.len()];
         let mut entries: Vec<(u64, u32, u32)> = Vec::new();
         for (t, v) in views.iter().enumerate() {
-            if !kept[t] {
-                continue;
-            }
             let f: &InternedFeatures = v.interned()?;
             if v.n_cols() > MASK_COLS {
                 continue;
@@ -383,24 +378,18 @@ impl AdmitIndex {
     }
 }
 
-/// [`build_edges`] with an optional table keep-mask (pruned tables, from the
-/// `early_exit` knob, contribute no edges but retain their global indices),
-/// an optional cancellation hook checked once per outer table, an optional
-/// cross-query [`PairMemo`], and skip counters. On the fast path, column
-/// pairs sharing no content signature are skipped and previously visited
-/// pairs replay from the memo — both provably without changing the result
-/// (see the module docs).
-pub fn build_edges_pruned(
+/// [`build_edges`] with an optional cancellation hook checked once per
+/// outer table, an optional cross-query [`PairMemo`], and skip counters.
+/// Every pair of tables is considered. On the fast path, column pairs
+/// sharing no content signature are skipped and previously visited pairs
+/// replay from the memo — both provably without changing the result (see
+/// the module docs).
+pub fn build_edges_with(
     views: &[TableView<'_>],
     cfg: &MapperConfig,
-    keep: Option<&[bool]>,
     cancel: Option<&(dyn Fn() -> Result<(), WwtError> + Sync)>,
     memo: Option<&PairMemo>,
 ) -> Result<(Vec<ColumnEdge>, EdgeStats), WwtError> {
-    let kept: Vec<bool> = match keep {
-        Some(k) => k.to_vec(),
-        None => vec![true; views.len()],
-    };
     // A memo built for different similarity parameters is ignored.
     let memo = memo.filter(|m| m.matches(cfg));
     // The admission index is built lazily on the first memo miss: a query
@@ -412,13 +401,7 @@ pub fn build_edges_pruned(
         if let Some(check) = cancel {
             check()?;
         }
-        if !kept[i] {
-            continue;
-        }
         for j in (i + 1)..views.len() {
-            if !kept[j] {
-                continue;
-            }
             let (na, nb) = (views[i].n_cols(), views[j].n_cols());
             let key = (views[i].table.id.0, views[j].table.id.0);
             if let Some(m) = memo {
@@ -430,7 +413,7 @@ pub fn build_edges_pruned(
                     continue;
                 }
             }
-            let admit = admit.get_or_insert_with(|| AdmitIndex::build(views, &kept));
+            let admit = admit.get_or_insert_with(|| AdmitIndex::build(views));
             let mask = admit.as_ref().and_then(|index| index.pair(i, j));
             if mask.is_some_and(|m| m.iter().all(|&bits| bits == 0)) {
                 // No column pair shares a signature: every similarity is
@@ -767,8 +750,8 @@ mod tests {
             .collect();
         assert!(fast.iter().all(|v| v.interned().is_some()));
         assert!(oracle.iter().all(|v| v.interned().is_none()));
-        let (indexed, istats) = build_edges_pruned(&fast, &cfg(), None, None, None).unwrap();
-        let (dense, dstats) = build_edges_pruned(&oracle, &cfg(), None, None, None).unwrap();
+        let (indexed, istats) = build_edges_with(&fast, &cfg(), None, None).unwrap();
+        let (dense, dstats) = build_edges_with(&oracle, &cfg(), None, None).unwrap();
         assert_eq!(indexed.len(), dense.len());
         for (a, b) in indexed.iter().zip(&dense) {
             assert_eq!(a.a, b.a);
@@ -788,23 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_mask_excludes_pruned_tables() {
-        let stats = CorpusStats::new();
-        let tables = mixed_tables();
-        let views: Vec<TableView<'_>> = tables
-            .iter()
-            .map(|t| TableView::new(t, &stats, 0.3))
-            .collect();
-        let keep = vec![true, false, true, true];
-        let (edges, _) = build_edges_pruned(&views, &cfg(), Some(&keep), None, None).unwrap();
-        assert!(!edges.is_empty());
-        // Pruned table 1 appears in no edge; survivors keep their global
-        // indices (table 2's header edge to table 0 is unaffected).
-        assert!(edges.iter().all(|e| e.a.0 != 1 && e.b.0 != 1));
-        assert!(edges.iter().any(|e| e.a.0 == 0 && e.b.0 == 2));
-    }
-
-    #[test]
     fn pair_memo_replays_matches_bitwise() {
         let stats = CorpusStats::new();
         let tables = mixed_tables();
@@ -813,12 +779,12 @@ mod tests {
             .map(|t| TableView::new(t, &stats, 0.3))
             .collect();
         let memo = PairMemo::for_config(&cfg());
-        let (reference, _) = build_edges_pruned(&views, &cfg(), None, None, None).unwrap();
-        let (cold, cs) = build_edges_pruned(&views, &cfg(), None, None, Some(&memo)).unwrap();
+        let (reference, _) = build_edges_with(&views, &cfg(), None, None).unwrap();
+        let (cold, cs) = build_edges_with(&views, &cfg(), None, Some(&memo)).unwrap();
         assert_eq!(cs.pairs_memoized, 0, "first visit computes everything");
         assert!(cs.pairs_scored > 0);
         assert!(memo.entries() > 0);
-        let (warm, ws) = build_edges_pruned(&views, &cfg(), None, None, Some(&memo)).unwrap();
+        let (warm, ws) = build_edges_with(&views, &cfg(), None, Some(&memo)).unwrap();
         assert_eq!(ws.pairs_scored, 0, "second visit replays everything");
         assert_eq!(ws.pairs_skipped, 0, "admission-skipped pairs memoize too");
         assert!(ws.pairs_memoized > 0);
@@ -842,15 +808,15 @@ mod tests {
             .map(|t| TableView::new(t, &stats, 0.3))
             .collect();
         let memo = PairMemo::for_config(&cfg());
-        build_edges_pruned(&full, &cfg(), None, None, Some(&memo)).unwrap();
+        build_edges_with(&full, &cfg(), None, Some(&memo)).unwrap();
         // A later query retrieves a different, reordered candidate subset:
         // replayed pairs must land on the subset's own view indices.
         let subset: Vec<TableView<'_>> = [2usize, 0, 1]
             .iter()
             .map(|&i| TableView::new(&tables[i], &stats, 0.3))
             .collect();
-        let (memoized, ms) = build_edges_pruned(&subset, &cfg(), None, None, Some(&memo)).unwrap();
-        let (fresh, _) = build_edges_pruned(&subset, &cfg(), None, None, None).unwrap();
+        let (memoized, ms) = build_edges_with(&subset, &cfg(), None, Some(&memo)).unwrap();
+        let (fresh, _) = build_edges_with(&subset, &cfg(), None, None).unwrap();
         assert!(ms.pairs_memoized > 0, "{ms:?}");
         assert_eq!(memoized.len(), fresh.len());
         for (a, b) in memoized.iter().zip(&fresh) {
@@ -877,7 +843,7 @@ mod tests {
         let memo = PairMemo::for_config(&other);
         assert!(!memo.matches(&cfg()));
         for _ in 0..2 {
-            let (_, s) = build_edges_pruned(&views, &cfg(), None, None, Some(&memo)).unwrap();
+            let (_, s) = build_edges_with(&views, &cfg(), None, Some(&memo)).unwrap();
             assert_eq!(s.pairs_memoized, 0, "mismatched memo must be ignored");
             assert!(s.pairs_scored > 0);
         }
@@ -893,7 +859,7 @@ mod tests {
             .map(|t| TableView::new(t, &stats, 0.3))
             .collect();
         let cancel = || Err(WwtError::DeadlineExceeded("edges".into()));
-        let res = build_edges_pruned(&views, &cfg(), None, Some(&cancel), None);
+        let res = build_edges_with(&views, &cfg(), Some(&cancel), None);
         assert!(matches!(res, Err(WwtError::DeadlineExceeded(_))));
     }
 
@@ -1023,7 +989,7 @@ mod tests {
             };
             !sigs(&views[i], ca).is_disjoint(&sigs(&views[j], cb))
         };
-        let index = AdmitIndex::build(&views, &[true; 5]).unwrap();
+        let index = AdmitIndex::build(&views).unwrap();
         for i in 0..views.len() {
             for j in (i + 1)..views.len() {
                 let (na, nb) = (views[i].n_cols(), views[j].n_cols());
@@ -1046,8 +1012,8 @@ mod tests {
             .iter()
             .map(|t| TableView::new_oracle(t, &stats, 0.3))
             .collect();
-        let (indexed, _) = build_edges_pruned(&views, &cfg(), None, None, None).unwrap();
-        let (dense, _) = build_edges_pruned(&oracle, &cfg(), None, None, None).unwrap();
+        let (indexed, _) = build_edges_with(&views, &cfg(), None, None).unwrap();
+        let (dense, _) = build_edges_with(&oracle, &cfg(), None, None).unwrap();
         assert!(indexed.iter().any(|e| e.a == (0, 0) && e.b == (4, 65)));
         assert_eq!(indexed.len(), dense.len());
         for (a, b) in indexed.iter().zip(&dense) {
@@ -1077,7 +1043,7 @@ mod tests {
             sum
         };
         let total = |s: &EdgeStats| s.pairs_scored + s.pairs_skipped + s.pairs_memoized;
-        let (reference, plain) = build_edges_pruned(&views, &cfg(), None, None, None).unwrap();
+        let (reference, plain) = build_edges_with(&views, &cfg(), None, None).unwrap();
         assert_eq!(total(&plain), cells(5));
         assert_eq!(plain.pairs_memoized, 0);
 
@@ -1088,14 +1054,12 @@ mod tests {
         let parent = Arc::new(PairMemo::for_config(&cfg()));
         for request in 0..2 {
             let carry = PairMemo::scoped(&parent);
-            let (_, pre) =
-                build_edges_pruned(&views[..3], &cfg(), None, None, Some(&carry)).unwrap();
+            let (_, pre) = build_edges_with(&views[..3], &cfg(), None, Some(&carry)).unwrap();
             assert_eq!(total(&pre), cells(3), "request {request}");
             let from_parent = if request == 0 { 0 } else { cells(3) };
             assert_eq!(pre.pairs_memoized, from_parent, "request {request}");
             assert_eq!(carry.own_hits(), 0, "request {request}");
-            let (edges, fin) =
-                build_edges_pruned(&views, &cfg(), None, None, Some(&carry)).unwrap();
+            let (edges, fin) = build_edges_with(&views, &cfg(), None, Some(&carry)).unwrap();
             assert_eq!(total(&fin), cells(5), "request {request}");
             assert_eq!(carry.own_hits(), 3, "request {request}");
             let from_parent = if request == 0 { cells(3) } else { cells(5) };

@@ -108,14 +108,6 @@ pub struct MapperConfig {
     /// Mix of cell-value overlap vs header cosine in column-column
     /// similarity (`sim = mix·overlap + (1−mix)·header_cos`).
     pub content_sim_mix: f64,
-    /// Aggressive candidate pruning (off by default; **may change
-    /// results**): tables whose relevant upper bound cannot beat all-`nr`
-    /// are dropped from edge construction, and columns with zero header
-    /// similarity to every query column have their query labels collapsed
-    /// before message passing. Exact for [`SimilarityMode::Segmented`]
-    /// independent inference; with edge potentials a pruned table can no
-    /// longer be rescued by its neighbors, which is the approximation.
-    pub early_exit: bool,
 }
 
 impl Default for MapperConfig {
@@ -132,7 +124,6 @@ impl Default for MapperConfig {
             nsim_lambda: 0.3,
             min_column_sim: 0.1,
             content_sim_mix: 0.7,
-            early_exit: false,
         }
     }
 }

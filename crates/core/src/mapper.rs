@@ -1,7 +1,7 @@
 //! The top-level column mapper: feature extraction → graphical model →
 //! inference → labeled tables with calibrated scores (paper §2.2.2, §3, §4).
 
-use crate::colsim::{build_edges_pruned, PairMemo};
+use crate::colsim::{build_edges_with, PairMemo};
 use crate::config::MapperConfig;
 use crate::features::QueryView;
 use crate::inference::{
@@ -12,12 +12,6 @@ use crate::view::TableView;
 use wwt_index::DocSets;
 use wwt_model::{Label, Labeling, Query, WebTable, WwtError};
 use wwt_text::CorpusStats;
-
-/// Finite stand-in for `−∞` when the `early_exit` knob collapses a dead
-/// column's query labels: low enough that no solver ever picks the label
-/// (it drowns the `1e6` must-match bonus), finite so flow reductions and
-/// marginal softmaxes never see `∞ − ∞`.
-pub(crate) const COLLAPSE: f64 = -1.0e9;
 
 /// Counters from one mapping run, for perf observability (surfaced through
 /// diagnostics and the service stats endpoint; never wire-encoded in query
@@ -37,11 +31,6 @@ pub struct MapStats {
     /// always-on exact solver early exit fires for these under
     /// independent inference).
     pub early_exit_tables: u64,
-    /// Tables excluded from edge construction by the `early_exit` knob.
-    pub pruned_tables: u64,
-    /// Zero-similarity columns whose query labels the `early_exit` knob
-    /// collapsed.
-    pub collapsed_columns: u64,
 }
 
 impl MapStats {
@@ -51,8 +40,6 @@ impl MapStats {
         self.edge_pairs_skipped += other.edge_pairs_skipped;
         self.edge_pairs_memoized += other.edge_pairs_memoized;
         self.early_exit_tables += other.early_exit_tables;
-        self.pruned_tables += other.pruned_tables;
-        self.collapsed_columns += other.collapsed_columns;
     }
 }
 
@@ -182,50 +169,21 @@ impl ColumnMapper {
         stats: &CorpusStats,
         index: Option<&dyn DocSets>,
     ) -> MappingResult {
-        self.map_views_with_threads(query, views, stats, index, 1)
-    }
-
-    /// [`ColumnMapper::map_views`] with the per-table node-potential
-    /// batch fanned out over the persistent worker pool. Each candidate's
-    /// potentials depend only on its own view (and the shared read-only
-    /// query view / doc-set index), and the fan-out returns results in
-    /// input order, so the output is **identical** to the serial form for
-    /// every thread count — `threads <= 1` short-circuits to it.
-    pub fn map_views_with_threads(
-        &self,
-        query: &Query,
-        views: &[TableView<'_>],
-        stats: &CorpusStats,
-        index: Option<&dyn DocSets>,
-        threads: usize,
-    ) -> MappingResult {
-        self.map_views_inner(query, views, stats, index, threads, false, None)
+        self.map_views_inner(query, views, stats, index, 1, false, None)
             .expect("infallible without a cancel hook")
             .0
     }
 
-    /// [`ColumnMapper::map_views_with_threads`], additionally returning
-    /// each view's node-potential wall-clock duration (input order, one
-    /// per view) so tracing callers can attach per-batch child spans.
-    /// The mapping result is identical to the untimed form — the timing
-    /// wrapper observes the same computation.
-    pub fn map_views_with_threads_timed(
-        &self,
-        query: &Query,
-        views: &[TableView<'_>],
-        stats: &CorpusStats,
-        index: Option<&dyn DocSets>,
-        threads: usize,
-    ) -> (MappingResult, Vec<std::time::Duration>) {
-        self.map_views_inner(query, views, stats, index, threads, true, None)
-            .expect("infallible without a cancel hook")
-    }
-
-    /// [`ColumnMapper::map_views_with_threads`] with an in-stage
-    /// cancellation hook (typically a deadline check), consulted once per
-    /// view inside the node-potential batch and once per table during
-    /// edge construction. A hook that never fires is the identity: the
-    /// result is byte-identical to the uncancellable form.
+    /// [`ColumnMapper::map_views`] with the per-table node-potential
+    /// batch fanned out over `threads` workers of the persistent pool,
+    /// and an in-stage cancellation hook (typically a deadline check),
+    /// consulted once per view inside the node-potential batch and once
+    /// per table during edge construction. Each candidate's potentials
+    /// depend only on its own view (and the shared read-only query view /
+    /// doc-set index), and the fan-out returns results in input order, so
+    /// the output is **identical** to [`ColumnMapper::map_views`] for
+    /// every thread count. A hook that never fires (or `None`) is the
+    /// identity.
     pub fn map_views_cancellable(
         &self,
         query: &Query,
@@ -240,7 +198,11 @@ impl ColumnMapper {
             .0)
     }
 
-    /// [`ColumnMapper::map_views_cancellable`] with per-view timings.
+    /// [`ColumnMapper::map_views_cancellable`], additionally returning
+    /// each view's node-potential wall-clock duration (input order, one
+    /// per view) so tracing callers can attach per-batch child spans.
+    /// The mapping result is identical to the untimed form — the timing
+    /// wrapper observes the same computation.
     pub fn map_views_cancellable_timed(
         &self,
         query: &Query,
@@ -267,7 +229,7 @@ impl ColumnMapper {
         let cfg = &self.config;
         let qv = QueryView::new(query, stats);
         let q = qv.q();
-        let (mut pots, view_times): (Vec<NodePotentials>, Vec<std::time::Duration>) =
+        let (pots, view_times): (Vec<NodePotentials>, Vec<std::time::Duration>) =
             if threads <= 1 || views.len() <= 1 {
                 let mut pots = Vec::with_capacity(views.len());
                 let mut times = Vec::new();
@@ -314,35 +276,9 @@ impl ColumnMapper {
             ..MapStats::default()
         };
 
-        // The `early_exit` knob: collapse dead columns' query labels and
-        // drop hopeless tables from edge construction. Collapsing a row
-        // that is exactly the bias `w5` on every query label (zero
-        // similarity everywhere) leaves the relevant upper bound intact
-        // (both `w5 < 0` and `COLLAPSE` fold to the same `0.0`), so the
-        // prune decision is unaffected by collapse order.
-        let mut keep = vec![true; views.len()];
-        if cfg.early_exit {
-            for (t, p) in pots.iter_mut().enumerate() {
-                for c in 0..p.n_cols() {
-                    if p.theta[c][..q].iter().all(|&v| v == cfg.weights.w5) {
-                        for l in 0..q {
-                            p.theta[c][l] = COLLAPSE;
-                        }
-                        map_stats.collapsed_columns += 1;
-                    }
-                }
-                if p.relevant_upper_bound() <= p.all_nr_score() {
-                    keep[t] = false;
-                    map_stats.pruned_tables += 1;
-                }
-            }
-        }
-
         let needs_edges = !matches!(self.algorithm, InferenceAlgorithm::Independent);
         let edges = if needs_edges {
-            let mask = cfg.early_exit.then_some(keep.as_slice());
-            let (edges, estats) =
-                build_edges_pruned(views, cfg, mask, cancel, self.pair_memo.as_deref())?;
+            let (edges, estats) = build_edges_with(views, cfg, cancel, self.pair_memo.as_deref())?;
             map_stats.edge_pairs_scored = estats.pairs_scored;
             map_stats.edge_pairs_skipped = estats.pairs_skipped;
             map_stats.edge_pairs_memoized = estats.pairs_memoized;
@@ -579,7 +515,9 @@ mod tests {
                 .collect();
             let serial = mapper.map_views(&q, &views, &stats, None);
             for threads in [2usize, 4, 8] {
-                let pooled = mapper.map_views_with_threads(&q, &views, &stats, None, threads);
+                let pooled = mapper
+                    .map_views_cancellable(&q, &views, &stats, None, threads, None)
+                    .unwrap();
                 assert_eq!(serial.labelings, pooled.labelings, "{alg:?} t={threads}");
                 for (a, b) in serial.table_relevance.iter().zip(&pooled.table_relevance) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{alg:?} t={threads}");
@@ -602,79 +540,14 @@ mod tests {
             .collect();
         let plain = mapper.map_views(&q, &views, &stats, None);
         for threads in [1usize, 4] {
-            let (timed, times) =
-                mapper.map_views_with_threads_timed(&q, &views, &stats, None, threads);
+            let (timed, times) = mapper
+                .map_views_cancellable_timed(&q, &views, &stats, None, threads, None)
+                .unwrap();
             assert_eq!(plain.labelings, timed.labelings, "t={threads}");
             assert_eq!(times.len(), views.len(), "t={threads}");
             for (a, b) in plain.table_relevance.iter().zip(&timed.table_relevance) {
                 assert_eq!(a.to_bits(), b.to_bits(), "t={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn collapsed_label_space_reproduces_dense_solve() {
-        // The knob's collapse must be invisible whenever the dense solve
-        // would not map the dead column anyway: a row that is exactly
-        // `w5` on every query label scores worse than `na` (θ = 0), so
-        // the optimum never uses it and forcing it to COLLAPSE changes
-        // neither labels nor score bits.
-        let cfg = MapperConfig::default();
-        let w5 = cfg.weights.w5;
-        let theta = vec![
-            vec![1.0, -0.3, 0.0, 0.1],
-            vec![w5, w5, 0.0, 0.05], // dead column: zero similarity
-            vec![-0.3, 1.0, 0.0, 0.1],
-        ];
-        let dense = NodePotentials {
-            q: 2,
-            theta: theta.clone(),
-            relevance: 0.5,
-        };
-        let mut collapsed_theta = theta;
-        for l in 0..2 {
-            collapsed_theta[1][l] = COLLAPSE;
-        }
-        let collapsed = NodePotentials {
-            q: 2,
-            theta: collapsed_theta,
-            relevance: 0.5,
-        };
-        for m_eff in 1..=2 {
-            let a = solve_table(&dense, m_eff);
-            let b = solve_table(&collapsed, m_eff);
-            assert_eq!(a.0, b.0, "m={m_eff}");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "m={m_eff}");
-        }
-    }
-
-    #[test]
-    fn early_exit_knob_preserves_labelings_on_separable_corpus() {
-        // The currency table maps; the forest table shares nothing with
-        // the query (all-dead columns, prunable). The knob must not
-        // disturb the labelings of either under any algorithm.
-        let q = Query::parse("country | currency").unwrap();
-        let good = currency_table(0);
-        let bad = forest_table(1);
-        let stats = CorpusStats::new();
-        for alg in all_algorithms() {
-            let off = ColumnMapper::default().with_algorithm(alg);
-            let on = ColumnMapper::new(MapperConfig {
-                early_exit: true,
-                ..MapperConfig::default()
-            })
-            .with_algorithm(alg);
-            let r_off = off.map(&q, &[&good, &bad], &stats, None);
-            let r_on = on.map(&q, &[&good, &bad], &stats, None);
-            assert_eq!(r_off.labelings, r_on.labelings, "{alg:?}");
-            assert_eq!(r_off.stats.pruned_tables, 0, "{alg:?}");
-            assert!(r_on.stats.pruned_tables >= 1, "{alg:?} {:?}", r_on.stats);
-            assert!(
-                r_on.stats.collapsed_columns >= 3,
-                "{alg:?} {:?}",
-                r_on.stats
-            );
-            assert!(r_on.table_relevance[0] > r_on.table_relevance[1], "{alg:?}");
         }
     }
 

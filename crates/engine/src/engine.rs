@@ -289,29 +289,6 @@ impl Engine {
         .expect("retrieval without a deadline cannot time out")
     }
 
-    /// [`Engine::retrieve`] under a deadline: the budget is re-checked
-    /// inside the probes — per shard worker and per merge stride — not
-    /// just at stage boundaries, so an expired request fails at the next
-    /// shard/merge checkpoint instead of completing the whole stage.
-    /// (In keeping with [`Deadline`]'s contract, a shard search already
-    /// running is never interrupted mid-flight; the overshoot bound is
-    /// one shard's probe, not one stage.)
-    pub fn retrieve_within(
-        &self,
-        query: &Query,
-        deadline: &Deadline,
-    ) -> Result<Retrieval, WwtError> {
-        self.retrieve_with(
-            query,
-            &self.config,
-            deadline,
-            &Trace::disabled(),
-            &FailSoft::off(),
-            &self.pair_memo,
-        )
-        .map(|(retrieval, _)| retrieval)
-    }
-
     /// One ranked index probe, scattered across the shards on the engine
     /// pool and gathered with the equivalence-preserving merge. Query
     /// tokens are resolved against the global term dictionary **once**

@@ -39,14 +39,6 @@ pub struct QueryOptions {
     /// Off by default — a disabled trace is a no-op handle, so plain
     /// requests pay nothing.
     pub explain: bool,
-    /// Aggressive candidate pruning in the column mapper
-    /// ([`wwt_core::MapperConfig::early_exit`]): hopeless tables are
-    /// dropped from edge construction and zero-similarity columns'
-    /// query labels collapsed before message passing. **May change
-    /// results** (a pruned table can no longer be rescued by its
-    /// neighbors), so it participates in the cache fingerprint and is
-    /// excluded from the default path's byte-identity guarantee.
-    pub early_exit: bool,
     /// Fail-soft execution: when a shard probe errors (or panics) or the
     /// deadline expires mid-stage, return the merged **partial** results
     /// with [`QueryDiagnostics::degraded`] set instead of aborting with
@@ -86,9 +78,6 @@ impl QueryOptions {
             }
             cfg.high_relevance = bar;
         }
-        if self.early_exit {
-            cfg.mapper.early_exit = true;
-        }
         Ok(cfg)
     }
 
@@ -124,11 +113,6 @@ impl QueryOptions {
             // collide with the plain entry clients expect to be
             // trace-free.
             s.push_str("explain;");
-        }
-        if self.early_exit {
-            // Pruning may change the answer, so pruned and exact
-            // responses must never share a cache entry.
-            s.push_str("ee;");
         }
         if self.fail_soft {
             // A degraded (partial) answer must never be served from the
@@ -202,12 +186,6 @@ impl QueryRequest {
     /// Requests an execution trace in [`QueryDiagnostics::trace`].
     pub fn explain(mut self, on: bool) -> Self {
         self.options.explain = on;
-        self
-    }
-
-    /// Enables aggressive candidate pruning ([`QueryOptions::early_exit`]).
-    pub fn early_exit(mut self, on: bool) -> Self {
-        self.options.early_exit = on;
         self
     }
 
@@ -368,26 +346,6 @@ mod tests {
         assert!(!traced.options.is_default());
         assert_ne!(plain.cache_key(), traced.cache_key());
         assert_eq!(plain.clone().explain(false).cache_key(), plain.cache_key());
-    }
-
-    #[test]
-    fn early_exit_changes_the_fingerprint_and_resolves() {
-        let plain = QueryRequest::parse("country | currency").unwrap();
-        let pruned = plain.clone().early_exit(true);
-        assert!(pruned.options.early_exit);
-        assert!(!pruned.options.is_default());
-        // Pruning may change results, so keys must not collide.
-        assert_ne!(plain.cache_key(), pruned.cache_key());
-        assert_eq!(
-            plain.clone().early_exit(false).cache_key(),
-            plain.cache_key()
-        );
-        let base = WwtConfig::default();
-        assert!(!base.mapper.early_exit);
-        let cfg = pruned.options.resolve(&base).unwrap();
-        assert!(cfg.mapper.early_exit);
-        let cfg = plain.options.resolve(&base).unwrap();
-        assert!(!cfg.mapper.early_exit);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A minimal keep-alive HTTP client and a multi-connection load
 //! generator — the measurement side of the serving layer, used by the
-//! `server_throughput` bench and the end-to-end tests.
+//! end-to-end tests.
 
 use crate::http::{self, ReadError};
 use std::io::{BufReader, Read, Write};

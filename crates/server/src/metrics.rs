@@ -37,7 +37,6 @@
 //! | `wwt_map_edge_pairs_skipped_total` | counter | Column pairs skipped by the content-signature edge index. |
 //! | `wwt_map_edge_pairs_memoized_total` | counter | Column pairs replayed from the cross-query pair memo. |
 //! | `wwt_map_early_exit_tables_total` | counter | Tables whose relevant upper bound could not beat all-`nr`. |
-//! | `wwt_map_pruned_tables_total` | counter | Tables the `early_exit` knob excluded from edge construction. |
 //! | `wwt_internal_errors_total` | counter | Pipeline panics caught at the service boundary and answered 500. |
 //! | `wwt_degraded_queries_total` | counter | Fail-soft responses served with `degraded: true` (partial results). |
 //! | `wwt_journal_retries_total` | counter | Journal appends that needed at least one retry before succeeding. |
@@ -464,12 +463,6 @@ impl Metrics {
                 cache.map_early_exit_tables,
             ),
             (
-                "wwt_map_pruned_tables_total",
-                "Tables the early_exit knob excluded from edge construction.",
-                "counter",
-                cache.map_pruned_tables,
-            ),
-            (
                 "wwt_internal_errors_total",
                 "Pipeline panics caught at the service boundary and answered 500.",
                 "counter",
@@ -542,7 +535,6 @@ mod tests {
             map_edge_pairs_skipped: 512,
             map_edge_pairs_memoized: 96,
             map_early_exit_tables: 9,
-            map_pruned_tables: 4,
             internal_errors: 2,
             degraded_queries: 3,
             journal_retries: 1,
@@ -647,7 +639,6 @@ mod tests {
         assert!(text.contains("wwt_map_edge_pairs_skipped_total 512\n"));
         assert!(text.contains("wwt_map_edge_pairs_memoized_total 96\n"));
         assert!(text.contains("wwt_map_early_exit_tables_total 9\n"));
-        assert!(text.contains("wwt_map_pruned_tables_total 4\n"));
     }
 
     #[test]
@@ -705,7 +696,6 @@ mod tests {
             map_edge_pairs_skipped: 0,
             map_edge_pairs_memoized: 0,
             map_early_exit_tables: 0,
-            map_pruned_tables: 0,
             internal_errors: 0,
             degraded_queries: 0,
             journal_retries: 0,

@@ -144,7 +144,6 @@ fn options_from_json(value: &Json) -> Result<QueryOptions, ApiError> {
             "max_rows",
             "deadline_ms",
             "explain",
-            "early_exit",
             "fail_soft",
         ],
     )?;
@@ -199,7 +198,6 @@ fn options_from_json(value: &Json) -> Result<QueryOptions, ApiError> {
         max_rows: uint("max_rows")?,
         deadline_ms,
         explain: flag("explain")?,
-        early_exit: flag("early_exit")?,
         fail_soft: flag("fail_soft")?,
     })
 }
@@ -401,7 +399,6 @@ pub fn encode_stats_with(
             "map_early_exit_tables",
             Json::from(stats.map_early_exit_tables),
         ),
-        ("map_pruned_tables", Json::from(stats.map_pruned_tables)),
         ("internal_errors", Json::from(stats.internal_errors)),
         ("degraded_queries", Json::from(stats.degraded_queries)),
         ("journal_retries", Json::from(stats.journal_retries)),
@@ -602,7 +599,6 @@ mod tests {
             map_edge_pairs_skipped: 0,
             map_edge_pairs_memoized: 0,
             map_early_exit_tables: 0,
-            map_pruned_tables: 0,
             internal_errors: 0,
             degraded_queries: 0,
             journal_retries: 0,
@@ -644,7 +640,6 @@ mod tests {
             map_edge_pairs_skipped: 1360,
             map_edge_pairs_memoized: 480,
             map_early_exit_tables: 21,
-            map_pruned_tables: 8,
             internal_errors: 1,
             degraded_queries: 6,
             journal_retries: 2,
@@ -697,7 +692,6 @@ mod tests {
             v.get("map_early_exit_tables").and_then(Json::as_u64),
             Some(21)
         );
-        assert_eq!(v.get("map_pruned_tables").and_then(Json::as_u64), Some(8));
         assert_eq!(v.get("batches_ingested").and_then(Json::as_u64), Some(3));
         assert_eq!(
             v.get("journal_attached").and_then(Json::as_bool),
@@ -729,15 +723,15 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_parses_and_rejects_non_bool() {
-        let req = parse_query_request(br#"{"query":"a","options":{"early_exit":true}}"#).unwrap();
-        assert!(req.options.early_exit);
-        let req = parse_query_request(br#"{"query":"a","options":{"early_exit":false}}"#).unwrap();
-        assert!(!req.options.early_exit);
-        assert!(req.options.is_default());
-        let err = parse_query_request(br#"{"query":"a","options":{"early_exit":1}}"#).unwrap_err();
+    fn early_exit_is_rejected_as_an_unknown_option() {
+        let err =
+            parse_query_request(br#"{"query":"a","options":{"early_exit":true}}"#).unwrap_err();
         assert_eq!(err.status, 400);
-        assert!(err.message.contains("early_exit"), "{}", err.message);
+        assert!(
+            err.message.contains("unknown field \"early_exit\""),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

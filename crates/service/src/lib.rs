@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use wwt_engine::{Engine, QueryRequest, QueryResponse};
 use wwt_index::{table_to_json, Journal, JournalRecord};
-use wwt_model::{Query, TableId, WebTable, WwtError};
+use wwt_model::{TableId, WebTable, WwtError};
 pub use wwt_obs::{FlightRecord, QueryOutcome, RecorderConfig, RecorderCounters};
 use wwt_obs::{FlightRecorder, SpanRecord, Trace, TraceReport};
 
@@ -145,9 +145,6 @@ pub struct ServiceStats {
     /// Tables whose relevant upper bound could not beat all-`nr` (the
     /// exact solver early exit), summed over every engine run.
     pub map_early_exit_tables: u64,
-    /// Tables the `early_exit` request knob excluded from edge
-    /// construction, summed over every engine run.
-    pub map_pruned_tables: u64,
     /// Pipeline panics caught at the service boundary and converted to
     /// [`WwtError::Internal`] (HTTP 500) instead of killing a worker.
     pub internal_errors: u64,
@@ -221,7 +218,6 @@ pub struct TableSearchService {
     map_edge_pairs_skipped: AtomicU64,
     map_edge_pairs_memoized: AtomicU64,
     map_early_exit_tables: AtomicU64,
-    map_pruned_tables: AtomicU64,
     internal_errors: AtomicU64,
     degraded_queries: AtomicU64,
     journal_retries: AtomicU64,
@@ -311,7 +307,6 @@ impl TableSearchService {
             map_edge_pairs_skipped: AtomicU64::new(0),
             map_edge_pairs_memoized: AtomicU64::new(0),
             map_early_exit_tables: AtomicU64::new(0),
-            map_pruned_tables: AtomicU64::new(0),
             internal_errors: AtomicU64::new(0),
             degraded_queries: AtomicU64::new(0),
             journal_retries: AtomicU64::new(0),
@@ -609,7 +604,7 @@ impl TableSearchService {
             Role::Shared(None) => self
                 .run_engine(&snapshot, request, &key)
                 .map(|response| (response, CachePath::Fallback)),
-            Role::Leader(guard) => match self.execute(&snapshot, request) {
+            Role::Leader(guard) => match self.execute(&snapshot, request, &Trace::disabled()) {
                 Ok(response) => {
                     let response = Arc::new(response);
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -661,16 +656,7 @@ impl TableSearchService {
             let trace = Trace::enabled(request_id);
             trace.note("cache", "bypass (explain)");
             trace.note("generation", snapshot.generation.to_string());
-            let result = self.run_isolated(|| snapshot.engine.answer_traced(request, &trace));
-            if matches!(result, Err(WwtError::DeadlineExceeded(_))) {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Ok(response) = &result {
-                if response.diagnostics.degraded {
-                    self.degraded_queries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            return match result {
+            return match self.execute(&snapshot, request, &trace) {
                 Ok(response) => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     let response = Arc::new(response);
@@ -786,14 +772,17 @@ impl TableSearchService {
         }
     }
 
-    /// One engine execution against a pinned snapshot, with the
-    /// deadline-abort counter maintained and panics isolated.
+    /// One engine execution against a pinned snapshot, recording into
+    /// `trace` (disabled on the cached path, enabled for explain), with
+    /// the deadline, degraded and mapper counters maintained and panics
+    /// isolated.
     fn execute(
         &self,
         snapshot: &EngineSnapshot,
         request: &QueryRequest,
+        trace: &Trace,
     ) -> Result<QueryResponse, WwtError> {
-        let result = self.run_isolated(|| snapshot.engine.answer(request));
+        let result = self.run_isolated(|| snapshot.engine.answer_traced(request, trace));
         if matches!(result, Err(WwtError::DeadlineExceeded(_))) {
             self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
         }
@@ -810,8 +799,6 @@ impl TableSearchService {
                 .fetch_add(ms.edge_pairs_memoized, Ordering::Relaxed);
             self.map_early_exit_tables
                 .fetch_add(ms.early_exit_tables, Ordering::Relaxed);
-            self.map_pruned_tables
-                .fetch_add(ms.pruned_tables, Ordering::Relaxed);
         }
         result
     }
@@ -824,18 +811,12 @@ impl TableSearchService {
         request: &QueryRequest,
         key: &str,
     ) -> Result<Arc<QueryResponse>, WwtError> {
-        let response = Arc::new(self.execute(snapshot, request)?);
+        let response = Arc::new(self.execute(snapshot, request, &Trace::disabled())?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(cache) = &self.cache {
             cache.insert(key.to_string(), Arc::clone(&response));
         }
         Ok(response)
-    }
-
-    /// Parses and answers a raw `"kw kw | kw kw | ..."` query string.
-    pub fn answer_str(&self, query: &str) -> Result<Arc<QueryResponse>, WwtError> {
-        let query = Query::parse(query)?;
-        self.answer(&QueryRequest::new(query))
     }
 
     /// Answers a batch of requests concurrently, fanning them over up to
@@ -881,7 +862,6 @@ impl TableSearchService {
             map_edge_pairs_skipped: self.map_edge_pairs_skipped.load(Ordering::Relaxed),
             map_edge_pairs_memoized: self.map_edge_pairs_memoized.load(Ordering::Relaxed),
             map_early_exit_tables: self.map_early_exit_tables.load(Ordering::Relaxed),
-            map_pruned_tables: self.map_pruned_tables.load(Ordering::Relaxed),
             internal_errors: self.internal_errors.load(Ordering::Relaxed),
             degraded_queries: self.degraded_queries.load(Ordering::Relaxed),
             journal_retries: self.journal_retries.load(Ordering::Relaxed),
@@ -1049,13 +1029,6 @@ mod tests {
         assert_eq!(stats.entries, 2);
         assert!(tuned.table.len() <= 1);
         assert!(stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0);
-    }
-
-    #[test]
-    fn answer_str_parses_and_rejects() {
-        let service = TableSearchService::new(tiny_engine());
-        assert!(service.answer_str("country | currency").is_ok());
-        assert!(matches!(service.answer_str(" | "), Err(WwtError::Query(_))));
     }
 
     #[test]
@@ -1588,6 +1561,22 @@ mod tests {
         let plain = service.answer(&req).unwrap();
         assert_eq!(first.table, plain.table);
         assert_eq!(first.candidates, plain.candidates);
+    }
+
+    #[test]
+    fn explain_runs_feed_the_mapper_counters() {
+        let service = TableSearchService::new(small_engine());
+        let traced = QueryRequest::parse("country | currency")
+            .unwrap()
+            .explain(true);
+        let answer = service.answer_observed(&traced, "rid-map").unwrap();
+        let ms = answer.response.diagnostics.map_stats;
+        assert!(answer.response.candidates.len() > 1);
+        let stats = service.stats();
+        assert!(stats.map_edge_pairs_scored > 0, "{stats:?}");
+        assert_eq!(stats.map_edge_pairs_scored, ms.edge_pairs_scored);
+        assert_eq!(stats.map_edge_pairs_skipped, ms.edge_pairs_skipped);
+        assert_eq!(stats.map_early_exit_tables, ms.early_exit_tables);
     }
 
     #[test]

@@ -351,20 +351,12 @@
 //!   tables, the final map replays every stage-1 pair the premap
 //!   matched (counted as memoized; explain traces note
 //!   `"column_map": "carried N premap pairs"`).
-//! * **Aggressive candidate pruning** (`"early_exit": true` per
-//!   request, default **off**): collapses the label space of columns
-//!   with zero similarity to every query column and drops tables whose
-//!   upper bound cannot beat all-`nr` from edge construction entirely.
-//!   This one **may change results** — a pruned table can no longer be
-//!   rescued by its graph neighbors under the joint inference
-//!   algorithms — so it participates in the cache key and is excluded
-//!   from the byte-identity guarantee; `tests/interned_equivalence.rs`
-//!   still holds knob-on responses byte-identical between the interned
-//!   path and its string-keyed oracle (CI runs the suite both ways).
-//!   Stats surface as `"map_edge_pairs_scored"` / `"map_edge_pairs_
-//!   skipped"` / `"map_edge_pairs_memoized"` / `"map_early_exit_tables"`
-//!   / `"map_pruned_tables"` on `GET /stats` and the matching
-//!   `wwt_map_*_total` counters on `GET /metrics`.
+//!
+//! Mapper counters surface as `"map_edge_pairs_scored"` /
+//! `"map_edge_pairs_skipped"` / `"map_edge_pairs_memoized"` /
+//! `"map_early_exit_tables"` on `GET /stats` and the matching
+//! `wwt_map_*_total` counters on `GET /metrics`, for plain and explain
+//! queries alike.
 //!
 //! None of the default-path work changes a single answer byte: operand
 //! values and accumulation order are preserved exactly, and the
@@ -373,37 +365,26 @@
 //! optimized path to bit-identical output against its string-keyed /
 //! per-query oracles.
 //!
-//! Measure it with the perf benchmark, which writes the machine-readable
-//! trajectory point `BENCH_query_path.json` at the repo root (fixed
-//! seed; `WWT_SCALE` sizes the corpus, default 0.15):
+//! Measure it with `loadbench/` (see its `README.md`), which drives the
+//! real `wwt-serve` binary over loopback and, with `--trace 1`, times the
+//! layers underneath it in-process:
 //!
 //! ```text
-//! cargo run --release -p wwt-bench --bin perf
-//! cat BENCH_query_path.json   # index_build_ms, engine_bind_ms,
-//!                             # probe_topk / cold_query / warm_query µs
+//! bash loadbench/run.sh --workload cold_unique --seed 1 --seconds 15 --trace 1
+//! bash loadbench/run.sh --smoke    # every workload, tiny corpus, 2 s windows
 //! ```
 //!
-//! `cold_query` is the first uncached end-to-end run per workload query
-//! (the number the interning + precompute work targets — ≥ 2× down vs.
-//! the string-keyed path on the bench corpus); `column_map` isolates the
-//! mapping stage the fast path above targets, with a
-//! `column_map_by_algorithm` breakdown per inference algorithm;
-//! `index_build_ms` tracks
-//! the offline freeze, which the hash-free positional freeze keeps at or
-//! below its pre-interning cost. `engine_bind_ms` additionally includes
-//! the bind-time feature precompute — deliberately spent offline so no
-//! query ever pays it. The bind itself fans out over a persistent worker
-//! pool (`wwt-pool`): per-shard index freezes and per-table feature
-//! computations run in parallel (`EngineBuilder::bind_threads`, 0 =
-//! auto), and the artifact records both `engine_bind_ms` (pooled) and
-//! `engine_bind_serial_ms` so the multicore win is measured, not
-//! assumed — the built engine is identical for every thread count. The
-//! same pool batches the per-view potential computations inside the
-//! column mapper and the scatter-gather probe fan-out at query time.
-//! CI runs the same binary in smoke mode
-//! (`WWT_BENCH_SMOKE=1`) and uploads the artifact; `benches/
-//! query_path.rs` carries the criterion version of the same three
-//! measurements.
+//! `cold_unique` never hits the response cache, so the engine does the
+//! work the fast path above targets; its `core.map_us` / `core.map_p95_us`
+//! layers isolate the column-mapping stage, and `graph.independent_ms`,
+//! `graph.table_centric_ms`, `graph.alpha_expansion_ms`, `graph.trws_ms`
+//! and `graph.belief_propagation_ms` break inference down per algorithm.
+//! The bind fans out over a persistent worker pool (`wwt-pool`): per-shard
+//! index freezes and per-table feature computations run in parallel
+//! (`EngineBuilder::bind_threads`, 0 = auto), and the built engine is
+//! identical for every thread count. The same pool batches the per-view
+//! potential computations inside the column mapper and the
+//! scatter-gather probe fan-out at query time. CI runs the smoke mode.
 //!
 //! ## Per-route concurrency limits
 //!

@@ -29,17 +29,6 @@ const ALGORITHMS: [InferenceAlgorithm; 5] = [
     InferenceAlgorithm::Trws,
 ];
 
-/// CI runs this suite twice: plain, and with `WWT_EARLY_EXIT=1` turning
-/// the aggressive-pruning knob on for every request. The knob may change
-/// results vs a knob-off run, but fast and oracle engines see identical
-/// potentials, make identical pruning decisions, and must stay
-/// byte-identical to *each other* either way.
-fn knob_on() -> bool {
-    std::env::var("WWT_EARLY_EXIT")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -95,9 +84,7 @@ fn every_algorithm_matches_the_per_query_oracle() {
         let (fast, oracle) = engine_pair(&generated, WwtConfig::default(), shards);
         for query in &queries {
             for algorithm in ALGORITHMS {
-                let request = QueryRequest::new(query.clone())
-                    .algorithm(algorithm)
-                    .early_exit(knob_on());
+                let request = QueryRequest::new(query.clone()).algorithm(algorithm);
                 assert_eq!(
                     canonical_bytes(&request, &oracle),
                     canonical_bytes(&request, &fast),
@@ -122,7 +109,7 @@ fn pmi_probes_match_the_oracle() {
     };
     let (fast, oracle) = engine_pair(&generated, config, 2);
     for query in &queries {
-        let request = QueryRequest::new(query.clone()).early_exit(knob_on());
+        let request = QueryRequest::new(query.clone());
         assert_eq!(
             canonical_bytes(&request, &oracle),
             canonical_bytes(&request, &fast),
@@ -133,6 +120,53 @@ fn pmi_probes_match_the_oracle() {
         fast.docset_cache_entries() > 0,
         "PMI queries must populate the doc-set memo"
     );
+}
+
+#[test]
+fn relevance_bits_match_the_oracle_with_and_without_pmi() {
+    // The fast and oracle engines transform identical potentials, so
+    // every algorithm's answer — down to the relevance bits — must stay
+    // identical under both column-similarity measures.
+    let (generated, queries) = corpus(3, 0.05);
+    for use_pmi in [false, true] {
+        let config = WwtConfig {
+            mapper: MapperConfig {
+                use_pmi,
+                ..MapperConfig::default()
+            },
+            ..WwtConfig::default()
+        };
+        let (fast, oracle) = engine_pair(&generated, config, 2);
+        for query in &queries {
+            for algorithm in ALGORITHMS {
+                let request = QueryRequest::new(query.clone()).algorithm(algorithm);
+                assert_eq!(
+                    canonical_bytes(&request, &oracle),
+                    canonical_bytes(&request, &fast),
+                    "drift (pmi={use_pmi}) for {request:?}"
+                );
+                let fast_resp = fast.answer(&request).unwrap();
+                let oracle_resp = oracle.answer(&request).unwrap();
+                assert_eq!(
+                    fast_resp.mapping.table_relevance.len(),
+                    oracle_resp.mapping.table_relevance.len(),
+                    "relevance length (pmi={use_pmi}) for {request:?}"
+                );
+                for (a, b) in fast_resp
+                    .mapping
+                    .table_relevance
+                    .iter()
+                    .zip(&oracle_resp.mapping.table_relevance)
+                {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "relevance bits (pmi={use_pmi}) for {request:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -152,7 +186,6 @@ fn random_option_draws_match_the_oracle() {
                 .then(|| (splitmix(&mut state) as usize) % 12),
             deadline_ms: None,
             explain: false,
-            early_exit: knob_on() || splitmix(&mut state).is_multiple_of(4),
             fail_soft: false,
         };
         let request = QueryRequest {
@@ -186,7 +219,6 @@ fn carried_premap_pairs_match_a_fresh_memo_free_map() {
                     algorithm: Some(algorithm),
                     probe2_k: Some(1 + (splitmix(&mut state) as usize) % 12),
                     high_relevance: Some(((splitmix(&mut state) % 61) as f64) / 100.0),
-                    early_exit: knob_on(),
                     ..QueryOptions::default()
                 };
                 let request = QueryRequest {
@@ -203,8 +235,7 @@ fn carried_premap_pairs_match_a_fresh_memo_free_map() {
                     .iter()
                     .map(|&id| engine.store().get(id).unwrap())
                     .collect();
-                let mut config = engine.config().mapper.clone();
-                config.early_exit |= knob_on();
+                let config = engine.config().mapper.clone();
                 let views: Vec<TableView<'_>> = tables
                     .iter()
                     .map(|t| TableView::new(t, stats, config.body_freq_frac))
@@ -242,62 +273,6 @@ fn carried_premap_pairs_match_a_fresh_memo_free_map() {
 }
 
 #[test]
-fn early_exit_knob_matches_its_own_oracle() {
-    // With pruning forced on (regardless of the env toggle), the fast
-    // and oracle engines still transform *identical* potentials, so
-    // their pruning decisions — and therefore their answers — must stay
-    // byte-identical, for every algorithm, down to the relevance bits.
-    let (generated, queries) = corpus(3, 0.05);
-    for use_pmi in [false, true] {
-        let config = WwtConfig {
-            mapper: MapperConfig {
-                use_pmi,
-                ..MapperConfig::default()
-            },
-            ..WwtConfig::default()
-        };
-        let (fast, oracle) = engine_pair(&generated, config, 2);
-        for query in &queries {
-            for algorithm in ALGORITHMS {
-                let request = QueryRequest::new(query.clone())
-                    .algorithm(algorithm)
-                    .early_exit(true);
-                assert_eq!(
-                    canonical_bytes(&request, &oracle),
-                    canonical_bytes(&request, &fast),
-                    "pruned-path drift (pmi={use_pmi}) for {request:?}"
-                );
-                let fast_resp = fast.answer(&request).unwrap();
-                let oracle_resp = oracle.answer(&request).unwrap();
-                for (a, b) in fast_resp
-                    .mapping
-                    .table_relevance
-                    .iter()
-                    .zip(&oracle_resp.mapping.table_relevance)
-                {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "relevance bits (pmi={use_pmi}) for {request:?}"
-                    );
-                }
-                // Both engines must agree on what they pruned.
-                assert_eq!(
-                    fast_resp.diagnostics.map_stats.pruned_tables,
-                    oracle_resp.diagnostics.map_stats.pruned_tables,
-                    "pruning disagreement (pmi={use_pmi}) for {request:?}"
-                );
-                assert_eq!(
-                    fast_resp.diagnostics.map_stats.collapsed_columns,
-                    oracle_resp.diagnostics.map_stats.collapsed_columns,
-                    "collapse disagreement (pmi={use_pmi}) for {request:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn explain_traces_are_byte_stable_and_oracle_equivalent() {
     // Explain mode attaches a trace whose `*_us` fields are the only
     // nondeterminism; after `zero_timings` the whole wire body — spans,
@@ -307,9 +282,7 @@ fn explain_traces_are_byte_stable_and_oracle_equivalent() {
     for shards in [1usize, 2] {
         let (fast, oracle) = engine_pair(&generated, WwtConfig::default(), shards);
         for query in &queries {
-            let request = QueryRequest::new(query.clone())
-                .explain(true)
-                .early_exit(knob_on());
+            let request = QueryRequest::new(query.clone()).explain(true);
             let first = canonical_bytes(&request, &fast);
             assert!(
                 first.contains("\"trace\""),
@@ -339,7 +312,7 @@ fn persisted_layouts_of_both_generations_serve_identical_bytes() {
     let (generated, queries) = corpus(2, 0.04);
     let requests: Vec<QueryRequest> = queries
         .iter()
-        .map(|q| QueryRequest::new(q.clone()).early_exit(knob_on()))
+        .map(|q| QueryRequest::new(q.clone()))
         .collect();
 
     for shards in [1usize, 3] {

@@ -158,7 +158,6 @@ fn random_option_draws_match_after_compaction() {
                 .then(|| (splitmix(&mut state) as usize) % 12),
             deadline_ms: None,
             explain: false,
-            early_exit: splitmix(&mut state).is_multiple_of(4),
             fail_soft: false,
         };
         let request = QueryRequest {

@@ -127,7 +127,6 @@ fn property_loop_random_option_draws_stay_byte_identical() {
                 .then(|| (splitmix(&mut state) as usize) % 12),
             deadline_ms: None,
             explain: false,
-            early_exit: splitmix(&mut state).is_multiple_of(4),
             fail_soft: false,
         };
         let request = QueryRequest {
