@@ -6,6 +6,11 @@
 //! `wwt-server` — shares this one small value tree, recursive-descent
 //! parser and compact encoder.
 //!
+//! The [`Json`] tree serves parsing and small bodies. Large hot outputs
+//! skip it: `wwt-server` writes each query response straight into one
+//! buffer with [`write_str`], [`write_num`] and [`write_u64`], which
+//! print exactly what [`Json::encode`] would.
+//!
 //! ```
 //! use wwt_json::Json;
 //!
@@ -19,23 +24,68 @@
 //! assert_eq!(back.get("max_rows").and_then(Json::as_u64), Some(3));
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// What a [`JsonError`] rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// A byte that cannot start a value, or the input ended where a value
+    /// was due.
+    UnexpectedInput,
+    /// A required delimiter is missing; the payload names it.
+    Expected(&'static str),
+    /// Non-whitespace input after the top-level value.
+    TrailingCharacters,
+    /// Containers nested deeper than the parser's cap.
+    TooDeep,
+    /// The input ended inside a string. The offset is the opening quote.
+    UnterminatedString,
+    /// A `\` followed by a character JSON defines no escape for.
+    InvalidEscape,
+    /// A `\u` escape without exactly four hex digits, or one that names
+    /// an unpaired surrogate.
+    InvalidUnicodeEscape,
+    /// A number outside the RFC 8259 grammar (`01`, `-.5`, `1.`, `1e`).
+    InvalidNumber,
+}
 
 /// A JSON parse failure: what went wrong, at which input byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JsonError {
-    msg: String,
+    kind: JsonErrorKind,
+    offset: usize,
 }
 
 impl JsonError {
-    fn new(msg: impl Into<String>) -> Self {
-        JsonError { msg: msg.into() }
+    fn new(kind: JsonErrorKind, offset: usize) -> Self {
+        JsonError { kind, offset }
+    }
+
+    /// What was rejected.
+    pub fn kind(&self) -> JsonErrorKind {
+        self.kind
+    }
+
+    /// The input byte the parser stopped at.
+    pub fn offset(&self) -> usize {
+        self.offset
     }
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid json: {}", self.msg)
+        f.write_str("invalid json: ")?;
+        match self.kind {
+            JsonErrorKind::UnexpectedInput => f.write_str("unexpected input")?,
+            JsonErrorKind::Expected(what) => write!(f, "expected {what}")?,
+            JsonErrorKind::TrailingCharacters => f.write_str("trailing characters")?,
+            JsonErrorKind::TooDeep => write!(f, "nesting deeper than {MAX_DEPTH}")?,
+            JsonErrorKind::UnterminatedString => f.write_str("unterminated string")?,
+            JsonErrorKind::InvalidEscape => f.write_str("invalid escape")?,
+            JsonErrorKind::InvalidUnicodeEscape => f.write_str("invalid \\u escape")?,
+            JsonErrorKind::InvalidNumber => f.write_str("invalid number")?,
+        }
+        write!(f, " at byte {}", self.offset)
     }
 }
 
@@ -190,9 +240,11 @@ impl Json {
         matches!(self, Json::Null)
     }
 
-    /// Parses one JSON value; trailing non-whitespace input is an error.
+    /// Parses one JSON value (RFC 8259); trailing non-whitespace input is
+    /// an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -200,10 +252,7 @@ impl Json {
         let value = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
-            return Err(JsonError::new(format!(
-                "trailing characters at byte {}",
-                p.pos
-            )));
+            return Err(p.error(JsonErrorKind::TrailingCharacters));
         }
         Ok(value)
     }
@@ -214,11 +263,12 @@ impl Json {
     /// persisted store).
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(64);
-        self.write(&mut out);
+        self.write_to(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends [`Json::encode`]'s output to `out`.
+    pub fn write_to(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -231,7 +281,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    v.write_to(out);
                 }
                 out.push(']');
             }
@@ -243,7 +293,7 @@ impl Json {
                     }
                     write_str(out, k);
                     out.push(':');
-                    v.write(out);
+                    v.write_to(out);
                 }
                 out.push('}');
             }
@@ -257,33 +307,80 @@ impl fmt::Display for Json {
     }
 }
 
-/// Appends a number, printing whole values without a fraction and
-/// clamping non-finite values to `0`.
-fn write_num(out: &mut String, n: f64) {
+/// Whole numbers below this magnitude print as plain digits; every such
+/// integer is exact in an `f64`.
+const DIGITS_BELOW: u64 = 1_000_000_000_000_000;
+
+/// Appends a number, printing whole values below 1e15 without a fraction
+/// and clamping non-finite values to `0`.
+pub fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push('0');
-    } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        out.push_str(&format!("{}", n as i64));
+    } else if n.fract() == 0.0 && n.abs() < DIGITS_BELOW as f64 {
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_digits(out, n.abs() as u64);
     } else {
         // `{:?}` is the shortest representation that round-trips.
-        out.push_str(&format!("{n:?}"));
+        write!(out, "{n:?}").expect("writing to a String cannot fail");
     }
+}
+
+/// Appends `n` exactly as [`write_num`] prints `n as f64`, skipping the
+/// float round trip where the digits are exact.
+#[inline]
+pub fn write_u64(out: &mut String, n: u64) {
+    if n < DIGITS_BELOW {
+        write_digits(out, n);
+    } else {
+        write_num(out, n as f64);
+    }
+}
+
+#[inline]
+fn write_digits(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    // Pushing the few digits one by one beats validating them as a
+    // `str` for a single `push_str`.
+    out.extend(buf[i..].iter().map(|&d| char::from(d)));
 }
 
 /// Appends a JSON string literal with the mandatory escapes.
 pub fn write_str(out: &mut String, v: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for ch in v.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in v.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
+        }
+        // Every escaped byte is ASCII, so the run ends on a char boundary.
+        out.push_str(&v[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
         }
     }
+    out.push_str(&v[run..]);
     out.push('"');
 }
 
@@ -294,12 +391,17 @@ pub fn write_str(out: &mut String, v: &str) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
 impl Parser<'_> {
+    fn error(&self, kind: JsonErrorKind) -> JsonError {
+        JsonError::new(kind, self.pos)
+    }
+
     fn skip_ws(&mut self) {
         while self
             .bytes
@@ -314,15 +416,16 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn peek_digit(&self) -> bool {
+        self.peek().is_some_and(|b| b.is_ascii_digit())
+    }
+
+    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(JsonError::new(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            )))
+            Err(self.error(JsonErrorKind::Expected(what)))
         }
     }
 
@@ -345,10 +448,7 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(JsonError::new(format!(
-                "unexpected input at byte {}",
-                self.pos
-            ))),
+            _ => Err(self.error(JsonErrorKind::UnexpectedInput)),
         }
     }
 
@@ -357,16 +457,13 @@ impl Parser<'_> {
     fn enter(&mut self) -> Result<(), JsonError> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
-            return Err(JsonError::new(format!(
-                "nesting deeper than {MAX_DEPTH} at byte {}",
-                self.pos
-            )));
+            return Err(self.error(JsonErrorKind::TooDeep));
         }
         Ok(())
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
+        self.expect(b'{', "'{'")?;
         self.enter()?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -379,7 +476,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.expect(b':', "':'")?;
             fields.push((key, self.value()?));
             self.skip_ws();
             match self.peek() {
@@ -389,18 +486,13 @@ impl Parser<'_> {
                     self.depth -= 1;
                     return Ok(Json::Obj(fields));
                 }
-                _ => {
-                    return Err(JsonError::new(format!(
-                        "expected ',' or '}}' at byte {}",
-                        self.pos
-                    )))
-                }
+                _ => return Err(self.error(JsonErrorKind::Expected("',' or '}'"))),
             }
         }
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+        self.expect(b'[', "'['")?;
         self.enter()?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -419,107 +511,135 @@ impl Parser<'_> {
                     self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
-                _ => {
-                    return Err(JsonError::new(format!(
-                        "expected ',' or ']' at byte {}",
-                        self.pos
-                    )))
-                }
+                _ => return Err(self.error(JsonErrorKind::Expected("',' or ']'"))),
             }
         }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+        let open = self.pos;
+        self.expect(b'"', "'\"'")?;
+        let unterminated = JsonError::new(JsonErrorKind::UnterminatedString, open);
         let mut out = String::new();
         loop {
-            match self.peek().ok_or(JsonError::new("unterminated string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek().ok_or(JsonError::new("unterminated escape"))? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let ch = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if !self.eat_literal("\\u") {
-                                    return Err(JsonError::new("lone high surrogate"));
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(JsonError::new("invalid low surrogate"));
-                                }
-                                let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(c).ok_or(JsonError::new("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(hi).ok_or(JsonError::new("invalid \\u escape"))?
-                            };
-                            out.push(ch);
-                            // hex4 leaves pos just past the 4 digits.
-                            continue;
-                        }
-                        other => {
-                            return Err(JsonError::new(format!("bad escape \\{}", other as char)))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 char (input is a &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| JsonError::new("invalid utf-8"))?;
-                    let ch = s
-                        .chars()
-                        .next()
-                        .ok_or(JsonError::new("unterminated string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // Copy the plain run up to the next quote or backslash in one
+            // slice: both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or(unterminated)?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            let ch = match self.peek().ok_or(unterminated)? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    self.pos += 1;
+                    out.push(self.unicode_escape()?);
+                    continue;
+                }
+                _ => return Err(self.error(JsonErrorKind::InvalidEscape)),
+            };
+            out.push(ch);
+            self.pos += 1;
         }
     }
 
+    /// Decodes the rest of a `\u` escape (the parser stands just past the
+    /// `u`), joining a surrogate pair into one char.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let start = self.pos;
+        let hi = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            let low_start = self.pos;
+            if !self.eat_literal("\\u") {
+                return Err(JsonError::new(
+                    JsonErrorKind::InvalidUnicodeEscape,
+                    low_start,
+                ));
+            }
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(JsonError::new(
+                    JsonErrorKind::InvalidUnicodeEscape,
+                    low_start,
+                ));
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        } else {
+            hi
+        };
+        // Only a lone low surrogate is left unrepresentable.
+        char::from_u32(code).ok_or(JsonError::new(JsonErrorKind::InvalidUnicodeEscape, start))
+    }
+
+    /// Exactly four hex digits; a sign or a short escape is an error.
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(JsonError::new("truncated \\u escape"));
+        let mut v = 0;
+        for _ in 0..4 {
+            let digit = self
+                .peek()
+                .and_then(|b| char::from(b).to_digit(16))
+                .ok_or_else(|| self.error(JsonErrorKind::InvalidUnicodeEscape))?;
+            v = v * 16 + digit;
+            self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| JsonError::new("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| JsonError::new("invalid \\u escape"))?;
-        self.pos = end;
         Ok(v)
     }
 
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if self.peek_digit() {
+                    return Err(self.error(JsonErrorKind::InvalidNumber));
+                }
+            }
+            Some(b'1'..=b'9') => self.digits()?,
+            _ => return Err(self.error(JsonErrorKind::InvalidNumber)),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| JsonError::new(JsonErrorKind::InvalidNumber, start))
+    }
+
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        if !self.peek_digit() {
+            return Err(self.error(JsonErrorKind::InvalidNumber));
+        }
+        while self.peek_digit() {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| JsonError::new(format!("bad number at byte {start}")))
+        Ok(())
     }
 }
 
@@ -637,6 +757,149 @@ mod tests {
         let text = v.encode();
         assert_eq!(text, "\"\\u0001\\u001f\"");
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn strings_parse_in_linear_time() {
+        // The quadratic parser needed hours for these; a thread with a
+        // deadline turns a regression into a failure instead of a hang.
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let big = "é".repeat(4 << 20);
+            let parsed = Json::parse(&format!("\"{big}\"")).unwrap();
+            assert_eq!(parsed.as_str(), Some(big.as_str()));
+            let fields: Vec<String> = (0..(8 << 20) / 32)
+                .map(|i| format!("\"k{i:07}\":\"value\\\"{i:012}\""))
+                .collect();
+            let text = format!("{{{}}}", fields.join(","));
+            assert!(text.len() >= 8 << 20);
+            let parsed = Json::parse(&text).unwrap();
+            let fields = parsed.as_obj().unwrap();
+            assert_eq!(fields.len(), (8 << 20) / 32);
+            assert_eq!(fields[7].1.as_str(), Some("value\"000000000007"));
+            done.send(()).unwrap();
+        });
+        let outcome = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert_ne!(
+            outcome,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "8 MiB of strings took over 60 s"
+        );
+        // A failed assertion in the worker surfaces here.
+        worker.join().unwrap();
+    }
+
+    fn rejects(input: &str, kind: JsonErrorKind, offset: usize) {
+        let err = Json::parse(input).unwrap_err();
+        assert_eq!(
+            (err.kind(), err.offset()),
+            (kind, offset),
+            "{input:?}: {err}"
+        );
+    }
+
+    #[test]
+    fn unicode_escape_needs_four_hex_digits_not_a_sign() {
+        // `from_str_radix` would have read "+041" as 0x41.
+        rejects(r#""\u+041""#, JsonErrorKind::InvalidUnicodeEscape, 3);
+        rejects(r#""\u41""#, JsonErrorKind::InvalidUnicodeEscape, 5);
+        rejects(r#""\u004""#, JsonErrorKind::InvalidUnicodeEscape, 6);
+        assert_eq!(Json::parse(r#""A""#).unwrap(), Json::from("A"));
+    }
+
+    #[test]
+    fn unpaired_surrogates_rejected() {
+        rejects(r#""\ud83d""#, JsonErrorKind::InvalidUnicodeEscape, 7);
+        rejects(r#""\ud83dA""#, JsonErrorKind::InvalidUnicodeEscape, 7);
+        rejects(r#""\ude00""#, JsonErrorKind::InvalidUnicodeEscape, 3);
+    }
+
+    #[test]
+    fn leading_zero_rejected() {
+        rejects("01", JsonErrorKind::InvalidNumber, 1);
+        rejects("[-00]", JsonErrorKind::InvalidNumber, 3);
+        assert_eq!(Json::parse("0").unwrap(), Json::Num(0.0));
+        assert_eq!(Json::parse("-0.5").unwrap(), Json::Num(-0.5));
+    }
+
+    #[test]
+    fn fraction_without_integer_part_rejected() {
+        rejects("-.5", JsonErrorKind::InvalidNumber, 1);
+        rejects(".5", JsonErrorKind::UnexpectedInput, 0);
+    }
+
+    #[test]
+    fn fraction_and_exponent_need_digits() {
+        rejects("1.", JsonErrorKind::InvalidNumber, 2);
+        rejects("1.e3", JsonErrorKind::InvalidNumber, 2);
+        rejects("1e", JsonErrorKind::InvalidNumber, 2);
+        rejects("1e+", JsonErrorKind::InvalidNumber, 3);
+        rejects("-", JsonErrorKind::InvalidNumber, 1);
+        rejects("+1", JsonErrorKind::UnexpectedInput, 0);
+        assert_eq!(Json::parse("2.5E-1").unwrap(), Json::Num(0.25));
+        assert_eq!(Json::parse("1e+2").unwrap(), Json::Num(100.0));
+    }
+
+    #[test]
+    fn structural_errors_carry_kind_and_offset() {
+        rejects("\"abc", JsonErrorKind::UnterminatedString, 0);
+        rejects("[\"a\\", JsonErrorKind::UnterminatedString, 1);
+        rejects(r#""\x""#, JsonErrorKind::InvalidEscape, 2);
+        rejects("{\"a\" 1}", JsonErrorKind::Expected("':'"), 5);
+        rejects("[1 2]", JsonErrorKind::Expected("',' or ']'"), 3);
+        rejects("1 2", JsonErrorKind::TrailingCharacters, 2);
+        let err = Json::parse("{\"a\" 1}").unwrap_err();
+        assert_eq!(err.to_string(), "invalid json: expected ':' at byte 5");
+    }
+
+    #[test]
+    fn numbers_write_as_the_formatter_did() {
+        for n in [
+            0.0,
+            -0.0,
+            7.0,
+            -3.0,
+            0.5,
+            -1.25e-7,
+            999_999_999_999_999.0,
+            1e15,
+            -1e15,
+            1.5e300,
+            f64::MAX,
+        ] {
+            let mut out = String::new();
+            write_num(&mut out, n);
+            let old = if n.fract() == 0.0 && n.abs() < 1e15 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n:?}")
+            };
+            assert_eq!(out, old, "{n}");
+        }
+        for n in [
+            0,
+            9,
+            10,
+            u64::from(u32::MAX),
+            999_999_999_999_999,
+            1_000_000_000_000_000,
+            u64::MAX,
+        ] {
+            let (mut direct, mut via_f64) = (String::new(), String::new());
+            write_u64(&mut direct, n);
+            write_num(&mut via_f64, n as f64);
+            assert_eq!(direct, via_f64, "{n}");
+        }
+    }
+
+    #[test]
+    fn strings_write_with_escapes_around_plain_runs() {
+        let mut out = String::new();
+        write_str(&mut out, "a\"b\\c\u{0}\u{1f}\n\r\té😀\u{7f}");
+        assert_eq!(out, "\"a\\\"b\\\\c\\u0000\\u001f\\n\\r\\té😀\u{7f}\"");
+        out.clear();
+        write_str(&mut out, "");
+        assert_eq!(out, "\"\"");
     }
 
     #[test]

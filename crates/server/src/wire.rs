@@ -14,10 +14,11 @@
 //! Batch bodies wrap a list: `{"requests": [<request>, …]}`, at most
 //! [`MAX_BATCH_REQUESTS`] slots per request.
 
+use std::time::Duration;
 use wwt_core::InferenceAlgorithm;
 use wwt_engine::{QueryOptions, QueryRequest, QueryResponse};
-use wwt_json::Json;
-use wwt_model::{Query, WwtError};
+use wwt_json::{write_num, write_str, write_u64, Json};
+use wwt_model::{Query, TableId, WwtError};
 use wwt_service::ServiceStats;
 
 /// A client-visible failure: HTTP status plus a message.
@@ -241,79 +242,121 @@ pub fn algorithm_from_str(s: &str) -> Option<InferenceAlgorithm> {
 
 /// Encodes one answered query for the wire. Deterministic for a given
 /// response value, so a cached `Arc<QueryResponse>` always serializes to
-/// identical bytes.
+/// identical bytes. A cache hit therefore costs the lookup plus this one
+/// write into a buffer sized up front.
 pub fn encode_response(request: &QueryRequest, response: &QueryResponse) -> String {
-    response_json(request, response).encode()
+    let mut out = String::with_capacity(size_hint(response));
+    write_response(&mut out, request, response);
+    out
 }
 
-fn response_json(request: &QueryRequest, response: &QueryResponse) -> Json {
-    let rows = response
-        .table
-        .rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("cells", Json::arr(r.cells.iter().map(String::as_str))),
-                ("support", Json::from(u64::from(r.support))),
-                ("score", Json::from(r.score)),
-                ("sources", Json::arr(r.sources.iter().map(|t| t.0))),
-            ])
-        })
-        .collect();
+/// A generous guess at the encoded size (a benchmark response spends
+/// ~140 B per row and ~6 B per candidate id), so one allocation usually
+/// suffices.
+fn size_hint(response: &QueryResponse) -> usize {
+    512 + 192 * response.table.rows.len() + 8 * response.candidates.len()
+}
+
+/// Appends one answered query's wire JSON to `out`, field by field, with
+/// no intermediate [`Json`] tree. Integers print through
+/// [`wwt_json::write_u64`], so the bytes match the tree encoder's
+/// `f64` rules exactly.
+pub fn write_response(out: &mut String, request: &QueryRequest, response: &QueryResponse) {
+    out.push_str("{\"query\":");
+    write_str(out, &request.query.to_string());
+    out.push_str(",\"columns\":");
+    write_strs(out, &response.table.columns);
+    out.push_str(",\"rows\":[");
+    for (i, row) in response.table.rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"cells\":");
+        write_strs(out, &row.cells);
+        out.push_str(",\"support\":");
+        write_u64(out, u64::from(row.support));
+        out.push_str(",\"score\":");
+        write_num(out, row.score);
+        out.push_str(",\"sources\":");
+        write_ids(out, &row.sources);
+        out.push('}');
+    }
+    out.push_str("],\"candidates\":");
+    write_ids(out, &response.candidates);
+
     let d = &response.diagnostics;
+    let count = |out: &mut String, key: &str, n: usize| {
+        out.push_str(key);
+        write_u64(out, n as u64);
+    };
+    count(out, ",\"diagnostics\":{\"n_candidates\":", d.n_candidates);
+    count(out, ",\"n_relevant\":", d.n_relevant);
+    out.push_str(",\"probe2_used\":");
+    out.push_str(if d.probe2_used { "true" } else { "false" });
+    count(out, ",\"rows_before_limit\":", d.rows_before_limit);
+    count(out, ",\"stage1\":", response.retrieval.stage1.len());
+    count(out, ",\"stage2\":", response.retrieval.stage2.len());
+
     let t = &d.timing;
-    let shard_us =
-        |shards: &[std::time::Duration]| Json::arr(shards.iter().map(|d| d.as_micros() as u64));
-    let timing_us = Json::obj([
-        ("index1", Json::from(t.index1.as_micros() as u64)),
-        ("read1", Json::from(t.read1.as_micros() as u64)),
-        ("index2", Json::from(t.index2.as_micros() as u64)),
-        ("read2", Json::from(t.read2.as_micros() as u64)),
-        ("column_map", Json::from(t.column_map.as_micros() as u64)),
-        ("consolidate", Json::from(t.consolidate.as_micros() as u64)),
-        ("total", Json::from(t.total().as_micros() as u64)),
-        // Per-shard probe wall-clocks (scatter order): the straggler
-        // view of the scatter-gather.
-        ("probe1_shards", shard_us(&t.probe1_shards)),
-        ("probe2_shards", shard_us(&t.probe2_shards)),
-    ]);
-    let mut diagnostic_fields = vec![
-        ("n_candidates", Json::from(d.n_candidates)),
-        ("n_relevant", Json::from(d.n_relevant)),
-        ("probe2_used", Json::from(d.probe2_used)),
-        ("rows_before_limit", Json::from(d.rows_before_limit)),
-        ("stage1", Json::from(response.retrieval.stage1.len())),
-        ("stage2", Json::from(response.retrieval.stage2.len())),
-        ("timing_us", timing_us),
-    ];
+    let micros = |out: &mut String, key: &str, elapsed: Duration| {
+        out.push_str(key);
+        write_u64(out, elapsed.as_micros() as u64);
+    };
+    micros(out, ",\"timing_us\":{\"index1\":", t.index1);
+    micros(out, ",\"read1\":", t.read1);
+    micros(out, ",\"index2\":", t.index2);
+    micros(out, ",\"read2\":", t.read2);
+    micros(out, ",\"column_map\":", t.column_map);
+    micros(out, ",\"consolidate\":", t.consolidate);
+    micros(out, ",\"total\":", t.total());
+    // Per-shard probe wall-clocks (scatter order): the straggler view of
+    // the scatter-gather.
+    for (key, shards) in [
+        (",\"probe1_shards\":[", &t.probe1_shards),
+        (",\"probe2_shards\":[", &t.probe2_shards),
+    ] {
+        out.push_str(key);
+        for (i, &elapsed) in shards.iter().enumerate() {
+            micros(out, if i > 0 { "," } else { "" }, elapsed);
+        }
+        out.push(']');
+    }
+    out.push('}');
     // Present only on explain runs: plain responses stay byte-identical
     // to the pre-trace wire format.
     if let Some(trace) = &d.trace {
-        diagnostic_fields.push(("trace", trace.to_json()));
+        out.push_str(",\"trace\":");
+        trace.to_json().write_to(out);
     }
     // Present only on degraded fail-soft runs: healthy responses (and
     // every response with `fail_soft` off) stay byte-identical.
     if d.degraded {
-        diagnostic_fields.push(("degraded", Json::Bool(true)));
-        diagnostic_fields.push((
-            "degraded_reasons",
-            Json::arr(d.degraded_reasons.iter().map(String::as_str)),
-        ));
+        out.push_str(",\"degraded\":true,\"degraded_reasons\":");
+        write_strs(out, &d.degraded_reasons);
     }
-    let diagnostics = Json::obj(diagnostic_fields);
-    Json::obj([
-        ("query", Json::from(request.query.to_string())),
-        (
-            "columns",
-            Json::arr(response.table.columns.iter().map(String::as_str)),
-        ),
-        ("rows", Json::Arr(rows)),
-        (
-            "candidates",
-            Json::arr(response.candidates.iter().map(|t| t.0)),
-        ),
-        ("diagnostics", diagnostics),
-    ])
+    out.push_str("}}");
+}
+
+fn write_strs(out: &mut String, items: &[String]) {
+    out.push('[');
+    for (i, s) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(out, s);
+    }
+    out.push(']');
+}
+
+fn write_ids(out: &mut String, ids: &[TableId]) {
+    out.push('[');
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_u64(out, u64::from(id.0));
+    }
+    out.push(']');
 }
 
 /// Encodes a batch of per-slot results (`{"responses":[…]}`); error
@@ -322,15 +365,18 @@ pub fn encode_batch_response(
     requests: &[QueryRequest],
     results: &[Result<std::sync::Arc<QueryResponse>, WwtError>],
 ) -> String {
-    let slots = requests
-        .iter()
-        .zip(results)
-        .map(|(req, res)| match res {
-            Ok(resp) => response_json(req, resp),
-            Err(e) => error_json(&api_error(e)),
-        })
-        .collect();
-    Json::obj([("responses", Json::Arr(slots))]).encode()
+    let mut out = String::from("{\"responses\":[");
+    for (i, (req, res)) in requests.iter().zip(results).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match res {
+            Ok(resp) => write_response(&mut out, req, resp),
+            Err(e) => error_json(&api_error(e)).write_to(&mut out),
+        }
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Encodes `GET /stats`: the serving counters plus the derived hit rate
@@ -417,6 +463,320 @@ pub fn encode_stats_with(
 mod tests {
     use super::*;
     use wwt_service::RecorderCounters;
+
+    /// The tree builder the direct writer replaced, kept verbatim as the
+    /// oracle for byte identity.
+    fn response_json(request: &QueryRequest, response: &QueryResponse) -> Json {
+        let rows = response
+            .table
+            .rows
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("cells", Json::arr(r.cells.iter().map(String::as_str))),
+                    ("support", Json::from(u64::from(r.support))),
+                    ("score", Json::from(r.score)),
+                    ("sources", Json::arr(r.sources.iter().map(|t| t.0))),
+                ])
+            })
+            .collect();
+        let d = &response.diagnostics;
+        let t = &d.timing;
+        let shard_us =
+            |shards: &[std::time::Duration]| Json::arr(shards.iter().map(|d| d.as_micros() as u64));
+        let timing_us = Json::obj([
+            ("index1", Json::from(t.index1.as_micros() as u64)),
+            ("read1", Json::from(t.read1.as_micros() as u64)),
+            ("index2", Json::from(t.index2.as_micros() as u64)),
+            ("read2", Json::from(t.read2.as_micros() as u64)),
+            ("column_map", Json::from(t.column_map.as_micros() as u64)),
+            ("consolidate", Json::from(t.consolidate.as_micros() as u64)),
+            ("total", Json::from(t.total().as_micros() as u64)),
+            // Per-shard probe wall-clocks (scatter order): the straggler
+            // view of the scatter-gather.
+            ("probe1_shards", shard_us(&t.probe1_shards)),
+            ("probe2_shards", shard_us(&t.probe2_shards)),
+        ]);
+        let mut diagnostic_fields = vec![
+            ("n_candidates", Json::from(d.n_candidates)),
+            ("n_relevant", Json::from(d.n_relevant)),
+            ("probe2_used", Json::from(d.probe2_used)),
+            ("rows_before_limit", Json::from(d.rows_before_limit)),
+            ("stage1", Json::from(response.retrieval.stage1.len())),
+            ("stage2", Json::from(response.retrieval.stage2.len())),
+            ("timing_us", timing_us),
+        ];
+        // Present only on explain runs: plain responses stay byte-identical
+        // to the pre-trace wire format.
+        if let Some(trace) = &d.trace {
+            diagnostic_fields.push(("trace", trace.to_json()));
+        }
+        // Present only on degraded fail-soft runs: healthy responses (and
+        // every response with `fail_soft` off) stay byte-identical.
+        if d.degraded {
+            diagnostic_fields.push(("degraded", Json::Bool(true)));
+            diagnostic_fields.push((
+                "degraded_reasons",
+                Json::arr(d.degraded_reasons.iter().map(String::as_str)),
+            ));
+        }
+        let diagnostics = Json::obj(diagnostic_fields);
+        Json::obj([
+            ("query", Json::from(request.query.to_string())),
+            (
+                "columns",
+                Json::arr(response.table.columns.iter().map(String::as_str)),
+            ),
+            ("rows", Json::Arr(rows)),
+            (
+                "candidates",
+                Json::arr(response.candidates.iter().map(|t| t.0)),
+            ),
+            ("diagnostics", diagnostics),
+        ])
+    }
+
+    /// A small deterministic generator (SplitMix64), so every run checks
+    /// the same responses.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len() as u64) as usize].clone()
+        }
+
+        fn text(&mut self) -> String {
+            const PIECES: [&str; 10] = [
+                "India",
+                "\"quoted\"",
+                "back\\slash",
+                "\u{0}\u{1}\u{1f}",
+                "\n\r\t",
+                "é",
+                "😀",
+                "\u{10ffff}",
+                " | ",
+                "",
+            ];
+            (0..self.below(4)).map(|_| self.pick(&PIECES)).collect()
+        }
+
+        fn texts(&mut self, max: u64) -> Vec<String> {
+            (0..self.below(max + 1)).map(|_| self.text()).collect()
+        }
+
+        fn id(&mut self) -> TableId {
+            let any = self.next() as u32;
+            TableId(self.pick(&[0, 1, 42, 65_535, u32::MAX - 1, u32::MAX, any]))
+        }
+
+        fn ids(&mut self, max: u64) -> Vec<TableId> {
+            (0..self.below(max + 1)).map(|_| self.id()).collect()
+        }
+
+        fn score(&mut self) -> f64 {
+            let fraction = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            self.pick(&[
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                3.0,
+                -7.0,
+                0.1 + 0.2,
+                1e-300,
+                999_999_999_999_999.0,
+                1e15,
+                1.5e300,
+                fraction,
+            ])
+        }
+
+        fn count(&mut self) -> usize {
+            self.pick(&[
+                0,
+                1,
+                17,
+                999_999_999_999_999,
+                1_000_000_000_000_000,
+                usize::MAX,
+            ])
+        }
+
+        fn duration(&mut self) -> Duration {
+            Duration::from_micros(self.pick(&[
+                0,
+                7,
+                123_456,
+                999_999_999_999_999,
+                1_000_000_000_000_000,
+                1_000_000_000_000_001,
+                u64::MAX,
+            ]))
+        }
+
+        fn durations(&mut self) -> Vec<Duration> {
+            (0..self.below(4)).map(|_| self.duration()).collect()
+        }
+
+        fn span(&mut self, depth: u32) -> wwt_obs::SpanRecord {
+            let mut span = wwt_obs::SpanRecord::new(self.text(), self.duration());
+            for _ in 0..self.below(3) {
+                span = span.with_detail(self.text(), self.text());
+            }
+            if depth > 0 {
+                for _ in 0..self.below(3) {
+                    span = span.with_child(self.span(depth - 1));
+                }
+            }
+            span
+        }
+
+        fn request(&mut self) -> QueryRequest {
+            let mut columns = self.texts(3);
+            columns.push(self.pick(&["country".to_string(), "cur\"ren\\cy 😀".into()]));
+            QueryRequest::new(Query::new(columns))
+        }
+
+        fn response(&mut self) -> QueryResponse {
+            let columns = self.texts(4);
+            let rows = (0..self.below(6))
+                .map(|_| wwt_model::AnswerRow {
+                    cells: self.texts(4),
+                    support: self.pick(&[0, 1, 5, u32::MAX]),
+                    sources: self.ids(4),
+                    score: self.score(),
+                })
+                .collect();
+            let t = self.durations();
+            let timing = wwt_engine::StageTimings {
+                index1: self.duration(),
+                read1: self.duration(),
+                index2: self.duration(),
+                read2: self.duration(),
+                column_map: self.duration(),
+                consolidate: self.duration(),
+                probe1_shards: t,
+                probe2_shards: self.durations(),
+            };
+            let trace = (self.below(3) == 0).then(|| wwt_obs::TraceReport {
+                request_id: self.text(),
+                total_us: self.duration().as_micros() as u64,
+                spans: (0..self.below(3)).map(|_| self.span(2)).collect(),
+                notes: (0..self.below(3))
+                    .map(|_| (self.text(), self.text()))
+                    .collect(),
+            });
+            let degraded_reasons = if self.below(3) == 0 {
+                self.texts(3)
+            } else {
+                Vec::new()
+            };
+            QueryResponse {
+                table: wwt_model::AnswerTable { columns, rows },
+                mapping: wwt_core::MappingResult::empty(),
+                candidates: self.ids(8),
+                retrieval: wwt_engine::Retrieval {
+                    stage1: self.ids(5),
+                    stage2: self.ids(5),
+                    ..Default::default()
+                },
+                diagnostics: wwt_engine::QueryDiagnostics {
+                    timing,
+                    probe2_used: self.below(2) == 0,
+                    n_candidates: self.count(),
+                    n_relevant: self.count(),
+                    rows_before_limit: self.count(),
+                    trace,
+                    degraded: !degraded_reasons.is_empty() || self.below(4) == 0,
+                    degraded_reasons,
+                    ..Default::default()
+                },
+            }
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_tree_oracle_byte_for_byte() {
+        let mut gen = Gen(0x5eed);
+        let (mut traced, mut degraded, mut empty) = (0, 0, 0);
+        for _ in 0..2_000 {
+            let request = gen.request();
+            let response = gen.response();
+            traced += usize::from(response.diagnostics.trace.is_some());
+            degraded += usize::from(response.diagnostics.degraded);
+            empty += usize::from(response.table.rows.is_empty());
+            let expected = response_json(&request, &response).encode();
+            assert_eq!(encode_response(&request, &response), expected);
+            // Appending keeps what the buffer already held.
+            let mut out = String::from("prefix");
+            write_response(&mut out, &request, &response);
+            assert_eq!(out.strip_prefix("prefix"), Some(expected.as_str()));
+        }
+        assert!(traced > 0 && degraded > 0 && empty > 0);
+    }
+
+    #[test]
+    fn writer_matches_the_oracle_on_fixed_edge_cases() {
+        let request = QueryRequest::new(Query::new(vec!["a\"b", "c\\d\u{1}😀"]));
+        let mut response = Gen(1).response();
+        response.table = wwt_model::AnswerTable::empty(vec![]);
+        response.candidates = vec![TableId(u32::MAX)];
+        response.diagnostics.n_candidates = usize::MAX;
+        response.diagnostics.timing = wwt_engine::StageTimings {
+            index1: Duration::from_micros(1_000_000_000_000_000),
+            read1: Duration::from_micros(999_999_999_999_999),
+            ..Default::default()
+        };
+        let expected = response_json(&request, &response).encode();
+        assert_eq!(encode_response(&request, &response), expected);
+        assert!(expected.contains("\"rows\":[]"), "{expected}");
+        assert!(expected.contains("[4294967295]"), "{expected}");
+        assert!(expected.contains("1.8446744073709552e19"), "{expected}");
+        assert!(
+            expected.contains("\"index1\":1000000000000000.0,\"read1\":999999999999999,"),
+            "{expected}"
+        );
+    }
+
+    #[test]
+    fn batch_writer_matches_the_tree_oracle() {
+        let mut gen = Gen(7);
+        for _ in 0..200 {
+            let slots = gen.below(5) as usize;
+            let requests: Vec<QueryRequest> = (0..slots).map(|_| gen.request()).collect();
+            let results: Vec<Result<std::sync::Arc<QueryResponse>, WwtError>> = (0..slots)
+                .map(|_| match gen.below(4) {
+                    0 => Err(WwtError::DeadlineExceeded(gen.text())),
+                    1 => Err(WwtError::Query(Query::parse(" | ").unwrap_err())),
+                    _ => Ok(std::sync::Arc::new(gen.response())),
+                })
+                .collect();
+            let slots_json = requests
+                .iter()
+                .zip(&results)
+                .map(|(req, res)| match res {
+                    Ok(resp) => response_json(req, resp),
+                    Err(e) => error_json(&api_error(e)),
+                })
+                .collect();
+            let expected = Json::obj([("responses", Json::Arr(slots_json))]).encode();
+            assert_eq!(encode_batch_response(&requests, &results), expected);
+        }
+    }
 
     #[test]
     fn parses_bare_query() {

@@ -365,6 +365,15 @@
 //! optimized path to bit-identical output against its string-keyed /
 //! per-query oracles.
 //!
+//! Most answers are **cache hits**, and a hit costs the response-cache
+//! lookup plus one write: [`server::wire::write_response`] appends the
+//! cached `QueryResponse` straight into one pre-sized buffer (digits
+//! and string runs copied in place, no intermediate `Json` tree, no
+//! per-number allocation), producing the same bytes the tree encoder
+//! did. Parsing is linear too: `wwt-json` copies each unescaped string
+//! run as one slice, which keeps request bodies, `tables.jsonl` boot
+//! loads and journal replay proportional to their size.
+//!
 //! Measure it with `loadbench/` (see its `README.md`), which drives the
 //! real `wwt-serve` binary over loopback and, with `--trace 1`, times the
 //! layers underneath it in-process:

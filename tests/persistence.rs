@@ -59,3 +59,51 @@ fn store_file_roundtrip_preserves_tables() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// The stricter parser (four-hex-digit `\u`, RFC 8259 numbers) must still
+/// read everything the encoder writes: every `tables.jsonl` line of a
+/// generated corpus and every journaled table payload.
+#[test]
+fn generated_store_and_journal_lines_parse_strictly() {
+    use wwt::corpus::{workload, CorpusConfig, CorpusGenerator};
+    use wwt::engine::{bind_corpus, WwtConfig};
+    use wwt::index::{table_to_json, FsyncPolicy, Journal, JournalRecord};
+    use wwt::json::Json;
+
+    let specs: Vec<_> = workload().into_iter().take(4).collect();
+    let generated = CorpusGenerator::new(CorpusConfig {
+        scale: 0.05,
+        ..CorpusConfig::default()
+    })
+    .generate_for(&specs);
+    let engine = bind_corpus(&generated, WwtConfig::default()).engine;
+    let dir = std::env::temp_dir().join(format!("wwt_strict_parse_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    engine.save_to_dir(&dir).unwrap();
+
+    let store = std::fs::read_to_string(dir.join("tables.jsonl")).unwrap();
+    let mut lines = 0;
+    for (no, line) in store.lines().enumerate() {
+        Json::parse(line).unwrap_or_else(|e| panic!("tables.jsonl line {}: {e}", no + 1));
+        lines += 1;
+    }
+    assert_eq!(lines, engine.n_tables());
+
+    let wal = dir.join("journal.wal");
+    let (mut journal, _) = Journal::open(&wal, FsyncPolicy::Never).unwrap();
+    let records: Vec<JournalRecord> = engine
+        .store()
+        .iter()
+        .map(|t| JournalRecord::AddTable(table_to_json(t)))
+        .collect();
+    journal.append_all(&records).unwrap();
+    drop(journal);
+    let (_, replay) = Journal::open(&wal, FsyncPolicy::Never).unwrap();
+    assert_eq!(replay.records, records);
+    for record in &replay.records {
+        if let JournalRecord::AddTable(line) = record {
+            Json::parse(line).unwrap_or_else(|e| panic!("journal payload {line:?}: {e}"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
