@@ -8,11 +8,11 @@
 
 use crate::deadline::Deadline;
 use crate::pipeline::WwtConfig;
-use crate::pool::{fan_out, try_fan_out};
 use crate::request::{QueryDiagnostics, QueryRequest, QueryResponse};
 use crate::retrieval::Retrieval;
 use crate::soft::FailSoft;
 use crate::timing::StageTimings;
+use crate::{fan_out, try_fan_out};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;

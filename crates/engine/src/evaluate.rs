@@ -247,7 +247,7 @@ pub fn evaluate_query_with(
 }
 
 /// Evaluates `method` on many queries in parallel (via
-/// [`crate::pool::fan_out`]). Results come back in workload order.
+/// [`crate::fan_out`]). Results come back in workload order.
 pub fn evaluate_workload(
     bound: &BoundCorpus,
     specs: &[QuerySpec],
@@ -266,7 +266,7 @@ pub fn evaluate_workload_with(
     threads: usize,
     mapper_override: Option<&wwt_core::MapperConfig>,
 ) -> Vec<QueryEvaluation> {
-    crate::pool::fan_out(specs.len(), threads, |i| {
+    crate::fan_out(specs.len(), threads, |i| {
         evaluate_query_with(bound, &specs[i], method, mapper_override)
     })
 }

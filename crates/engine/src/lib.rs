@@ -27,7 +27,8 @@ pub mod deadline;
 pub mod engine;
 pub mod evaluate;
 pub mod pipeline;
-pub mod pool;
+#[cfg(test)]
+mod pool;
 pub mod request;
 pub mod retrieval;
 pub mod soft;
@@ -41,10 +42,10 @@ pub use evaluate::{
     evaluate_workload_with, BoundCorpus, Method, QueryEvaluation,
 };
 pub use pipeline::WwtConfig;
-pub use pool::fan_out;
 pub use request::{QueryDiagnostics, QueryOptions, QueryRequest, QueryResponse};
 pub use retrieval::Retrieval;
 pub use soft::FailSoft;
 pub use timing::StageTimings;
+pub use wwt_pool::{fan_out, try_fan_out};
 // Re-exported so `answer_traced` callers need no direct wwt-obs dep.
 pub use wwt_obs::{Trace, TraceReport};

@@ -1,18 +1,9 @@
-//! Indexed fan-out shared by the probe scatter, the evaluation harness
-//! and the service layer's `answer_batch`.
-//!
-//! Since the live-ingest work this is a re-export of [`wwt_pool`]'s
-//! persistent-pool `fan_out`: same signature, same index-ordered
-//! results, same serial degeneration for `threads <= 1` — but the
-//! workers live for the process instead of being spawned per call, so
-//! `thread_local!` scratch in pooled code (the index's epoch-tagged
-//! score accumulator) is actually reused across probes.
+//! Tests of the crate-root [`fan_out`](crate::fan_out) re-export of
+//! [`wwt_pool`], the indexed fan-out the probe scatter, the evaluation
+//! harness and the service layer's `answer_batch` go through.
 
-pub use wwt_pool::{fan_out, try_fan_out};
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::fan_out;
 
     #[test]
     fn preserves_order_across_thread_counts() {

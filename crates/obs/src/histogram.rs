@@ -1,12 +1,14 @@
-//! Per-stage latency histograms: a fixed stage set × 12 microsecond
-//! buckets, all `AtomicU64`, rendered as one Prometheus histogram
-//! family `wwt_stage_duration_us{stage=...}`.
+//! Latency histograms: the one [`Histogram`] type behind both
+//! `wwt_http_request_duration_seconds` and the per-stage family
+//! `wwt_stage_duration_us{stage=...}` (a fixed stage set × 12
+//! microsecond buckets).
 //!
 //! Observation is a single first-fitting-bucket scan plus three relaxed
 //! atomic increments — cheap enough to run on every query, fed from the
 //! `StageTimings` the engine already measures (no extra clock reads).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::series::{write_header, Kind, Scalar};
+use std::fmt::Write;
 
 /// Bucket upper bounds in microseconds. Chosen around the bench
 /// trajectory: cold-query median ≈ 900 µs, dominant stage (column map)
@@ -64,17 +66,96 @@ impl Stage {
     }
 }
 
-#[derive(Debug, Default)]
-struct StageHist {
-    buckets: [AtomicU64; STAGE_BUCKET_BOUNDS_US.len()],
-    sum_us: AtomicU64,
-    count: AtomicU64,
+/// A fixed-bucket latency histogram over microsecond observations:
+/// observing is a first-fitting-bucket scan plus three relaxed atomic
+/// increments.
+#[derive(Debug)]
+pub struct Histogram<const N: usize> {
+    bounds: &'static [u64; N],
+    /// Microseconds per exported unit: 1 for `_us` families, 1e6 for
+    /// `_seconds` ones.
+    us_per_unit: f64,
+    /// Observations per bucket; each lands in its first fitting bucket,
+    /// overflows only count toward `+Inf` (cumulative counts are taken
+    /// at render time).
+    buckets: [Scalar; N],
+    sum_us: Scalar,
+    count: Scalar,
+}
+
+impl<const N: usize> Histogram<N> {
+    /// An empty histogram with inclusive upper `bounds` in microseconds,
+    /// exported in units of `us_per_unit` microseconds.
+    pub fn new(bounds: &'static [u64; N], us_per_unit: f64) -> Self {
+        Histogram {
+            bounds,
+            us_per_unit,
+            buckets: std::array::from_fn(|_| Scalar::default()),
+            sum_us: Scalar::default(),
+            count: Scalar::default(),
+        }
+    }
+
+    /// Records one observation.
+    pub fn observe(&self, us: u64) {
+        if let Some(bucket) = self.bounds.iter().position(|&bound| us <= bound) {
+            self.buckets[bucket].inc();
+        }
+        self.sum_us.add(us);
+        self.count.inc();
+    }
+
+    /// Total observations.
+    pub fn count(&self) -> u64 {
+        self.count.get()
+    }
+
+    fn exported(&self, us: u64) -> String {
+        (us as f64 / self.us_per_unit).to_string()
+    }
+
+    /// Appends the `_bucket`, `_sum` and `_count` samples of family
+    /// `name`, each carrying `labels` (`stage="probe1"`, or empty).
+    ///
+    /// Buckets render cumulatively. The count is read *after* the
+    /// buckets and clamped to their total, so an observe racing this
+    /// render can never leave a finite bucket above `+Inf` or `_count`
+    /// (Prometheus treats a non-monotone histogram as corrupt).
+    pub fn write_prometheus(&self, out: &mut String, name: &str, labels: &str) {
+        let (le_prefix, braced) = if labels.is_empty() {
+            (String::new(), String::new())
+        } else {
+            (format!("{labels},"), format!("{{{labels}}}"))
+        };
+        let mut cumulative = 0u64;
+        for (bound, bucket) in self.bounds.iter().zip(&self.buckets) {
+            cumulative += bucket.get();
+            let le = self.exported(*bound);
+            let _ = writeln!(out, "{name}_bucket{{{le_prefix}le=\"{le}\"}} {cumulative}");
+        }
+        let count = self.count.get().max(cumulative);
+        let sum = self.exported(self.sum_us.get());
+        let _ = write!(
+            out,
+            "{name}_bucket{{{le_prefix}le=\"+Inf\"}} {count}\n\
+             {name}_sum{braced} {sum}\n\
+             {name}_count{braced} {count}\n"
+        );
+    }
 }
 
 /// The full per-stage histogram family.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StageHistograms {
-    stages: [StageHist; Stage::ALL.len()],
+    stages: [Histogram<{ STAGE_BUCKET_BOUNDS_US.len() }>; Stage::ALL.len()],
+}
+
+impl Default for StageHistograms {
+    fn default() -> Self {
+        StageHistograms {
+            stages: std::array::from_fn(|_| Histogram::new(&STAGE_BUCKET_BOUNDS_US, 1.0)),
+        }
+    }
 }
 
 impl StageHistograms {
@@ -85,50 +166,26 @@ impl StageHistograms {
 
     /// Records one stage duration in microseconds.
     pub fn observe(&self, stage: Stage, us: u64) {
-        let hist = &self.stages[stage as usize];
-        if let Some(bucket) = STAGE_BUCKET_BOUNDS_US.iter().position(|&bound| us <= bound) {
-            hist.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        }
-        hist.sum_us.fetch_add(us, Ordering::Relaxed);
-        hist.count.fetch_add(1, Ordering::Relaxed);
+        self.stages[stage as usize].observe(us);
     }
 
     /// Total observations for one stage (tests, /stats).
     pub fn count(&self, stage: Stage) -> u64 {
-        self.stages[stage as usize].count.load(Ordering::Relaxed)
+        self.stages[stage as usize].count()
     }
 
     /// Appends the family in Prometheus text exposition format 0.0.4.
-    ///
-    /// Buckets render cumulatively per Prometheus histogram semantics;
-    /// `+Inf` equals `_count`, so observations beyond the last bound
-    /// are still counted.
     pub fn render_prometheus(&self, out: &mut String) {
-        out.push_str(
-            "# HELP wwt_stage_duration_us Query pipeline stage duration in microseconds.\n",
+        const NAME: &str = "wwt_stage_duration_us";
+        write_header(
+            out,
+            NAME,
+            Kind::Histogram,
+            "Query pipeline stage duration in microseconds.",
         );
-        out.push_str("# TYPE wwt_stage_duration_us histogram\n");
         for stage in Stage::ALL {
-            let hist = &self.stages[stage as usize];
-            let label = stage.label();
-            let mut cumulative = 0u64;
-            for (i, bound) in STAGE_BUCKET_BOUNDS_US.iter().enumerate() {
-                cumulative += hist.buckets[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "wwt_stage_duration_us_bucket{{stage=\"{label}\",le=\"{bound}\"}} {cumulative}\n"
-                ));
-            }
-            let count = hist.count.load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "wwt_stage_duration_us_bucket{{stage=\"{label}\",le=\"+Inf\"}} {count}\n"
-            ));
-            out.push_str(&format!(
-                "wwt_stage_duration_us_sum{{stage=\"{label}\"}} {}\n",
-                hist.sum_us.load(Ordering::Relaxed)
-            ));
-            out.push_str(&format!(
-                "wwt_stage_duration_us_count{{stage=\"{label}\"}} {count}\n"
-            ));
+            let labels = format!("stage=\"{}\"", stage.label());
+            self.stages[stage as usize].write_prometheus(out, NAME, &labels);
         }
     }
 }
@@ -170,6 +227,25 @@ mod tests {
         }
         // One HELP/TYPE pair for the whole family.
         assert_eq!(out.matches("# TYPE wwt_stage_duration_us").count(), 1);
+    }
+
+    #[test]
+    fn a_render_racing_an_observe_stays_monotone() {
+        // What a scrape sees in the middle of `observe`: the bucket is
+        // already bumped, the count not yet.
+        let h = StageHistograms::new();
+        h.stages[Stage::Probe1 as usize].buckets[STAGE_BUCKET_BOUNDS_US.len() - 1].inc();
+        let mut out = String::new();
+        h.render_prometheus(&mut out);
+        assert!(out.contains(r#"wwt_stage_duration_us_bucket{stage="probe1",le="250000"} 1"#));
+        assert!(
+            out.contains(r#"wwt_stage_duration_us_bucket{stage="probe1",le="+Inf"} 1"#),
+            "{out}"
+        );
+        assert!(
+            out.contains(r#"wwt_stage_duration_us_count{stage="probe1"} 1"#),
+            "{out}"
+        );
     }
 
     #[test]

@@ -105,15 +105,18 @@ impl FlightRecord {
     }
 }
 
-/// Monotone counters over everything ever recorded (not just retained).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecorderCounters {
-    /// Total queries recorded.
-    pub recorded: u64,
-    /// Total deadline-exceeded queries seen.
-    pub deadline_exceeded: u64,
-    /// Total zero-result queries seen.
-    pub zero_results: u64,
+crate::series! {
+    /// Monotone counters over everything ever recorded (not just retained).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RecorderCounters stored in RecorderCells {
+        stored recorded: u64 => "flight_records", "wwt_flight_records_total", Counter,
+            "Queries captured by the slow-query flight recorder.";
+        stored deadline_exceeded: u64 => "flight_deadline_exceeded",
+            "wwt_flight_deadline_exceeded_total", Counter,
+            "Recorded queries that tripped their deadline budget.";
+        stored zero_results: u64 => "flight_zero_results", "wwt_flight_zero_results_total", Counter,
+            "Recorded queries that answered an empty table.";
+    }
 }
 
 #[derive(Debug, Default)]
@@ -130,9 +133,7 @@ pub struct FlightRecorder {
     config: RecorderConfig,
     stripes: Vec<Mutex<Stripe>>,
     seq: AtomicU64,
-    recorded: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    zero_results: AtomicU64,
+    counters: RecorderCells,
 }
 
 /// Slowest-first total order: longer duration wins, earlier sequence
@@ -151,9 +152,7 @@ impl FlightRecorder {
                 .map(|_| Mutex::new(Stripe::default()))
                 .collect(),
             seq: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            zero_results: AtomicU64::new(0),
+            counters: RecorderCells::default(),
         }
     }
 
@@ -167,14 +166,10 @@ impl FlightRecorder {
     pub fn record(&self, mut record: FlightRecord) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         record.seq = seq;
-        self.recorded.fetch_add(1, Ordering::Relaxed);
+        self.counters.recorded.inc();
         match record.outcome {
-            QueryOutcome::DeadlineExceeded => {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            }
-            QueryOutcome::ZeroResults => {
-                self.zero_results.fetch_add(1, Ordering::Relaxed);
-            }
+            QueryOutcome::DeadlineExceeded => self.counters.deadline_exceeded.inc(),
+            QueryOutcome::ZeroResults => self.counters.zero_results.inc(),
             _ => {}
         }
 
@@ -272,11 +267,7 @@ impl FlightRecorder {
 
     /// Monotone totals for `/stats` and `/metrics`.
     pub fn counters(&self) -> RecorderCounters {
-        RecorderCounters {
-            recorded: self.recorded.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            zero_results: self.zero_results.load(Ordering::Relaxed),
-        }
+        self.counters.load(RecorderCounters::default())
     }
 }
 

@@ -379,10 +379,10 @@ pub fn encode_batch_response(
     out
 }
 
-/// Encodes `GET /stats`: the serving counters plus the derived hit rate
-/// (0.0 — never NaN — when nothing has been served). New counters are
-/// only ever appended — existing field names are load-bearing for
-/// dashboards.
+/// Encodes `GET /stats`: every [`ServiceStats`] series with a `/stats`
+/// key, in declaration order, plus the derived hit rate (0.0 — never NaN
+/// — when nothing has been served). New counters are only ever appended
+/// — existing field names are load-bearing for dashboards.
 pub fn encode_stats(stats: &ServiceStats) -> String {
     encode_stats_with(stats, None, None)
 }
@@ -396,60 +396,14 @@ pub fn encode_stats_with(
     last_reload_error: Option<&str>,
     journal_path: Option<&str>,
 ) -> String {
-    let mut fields = vec![
-        ("hits", Json::from(stats.hits)),
-        ("misses", Json::from(stats.misses)),
-        ("coalesced", Json::from(stats.coalesced)),
-        ("entries", Json::from(stats.entries)),
-        ("shards", Json::from(stats.shards)),
-        ("hit_rate", Json::from(stats.hit_rate())),
-        ("generation", Json::from(stats.generation)),
-        ("swap_count", Json::from(stats.swap_count)),
-        ("deadline_exceeded", Json::from(stats.deadline_exceeded)),
-        ("index_shards", Json::from(stats.index_shards)),
-        (
-            "docset_cache_entries",
-            Json::from(stats.docset_cache_entries),
-        ),
-        ("delta_tables", Json::from(stats.delta_tables)),
-        ("delta_tombstones", Json::from(stats.delta_tombstones)),
-        ("tables_ingested", Json::from(stats.tables_ingested)),
-        ("tables_deleted", Json::from(stats.tables_deleted)),
-        ("compactions", Json::from(stats.compactions)),
-        ("batches_ingested", Json::from(stats.batches_ingested)),
-        ("journal_attached", Json::Bool(stats.journal_attached)),
-        ("journal_records", Json::from(stats.journal_records)),
-        ("journal_bytes", Json::from(stats.journal_bytes)),
-        ("flight_records", Json::from(stats.recorder.recorded)),
-        (
-            "flight_deadline_exceeded",
-            Json::from(stats.recorder.deadline_exceeded),
-        ),
-        (
-            "flight_zero_results",
-            Json::from(stats.recorder.zero_results),
-        ),
-        (
-            "map_edge_pairs_scored",
-            Json::from(stats.map_edge_pairs_scored),
-        ),
-        (
-            "map_edge_pairs_skipped",
-            Json::from(stats.map_edge_pairs_skipped),
-        ),
-        (
-            "map_edge_pairs_memoized",
-            Json::from(stats.map_edge_pairs_memoized),
-        ),
-        (
-            "map_early_exit_tables",
-            Json::from(stats.map_early_exit_tables),
-        ),
-        ("internal_errors", Json::from(stats.internal_errors)),
-        ("degraded_queries", Json::from(stats.degraded_queries)),
-        ("journal_retries", Json::from(stats.journal_retries)),
-        ("read_only", Json::Bool(stats.read_only)),
-    ];
+    let mut fields = wwt_obs::json_fields(stats);
+    // `hit_rate` is derived rather than declared; it keeps its place
+    // right after `shards`.
+    let at = fields
+        .iter()
+        .position(|(key, _)| *key == "shards")
+        .map_or(0, |i| i + 1);
+    fields.insert(at, ("hit_rate", Json::from(stats.hit_rate())));
     if let Some(error) = last_reload_error {
         fields.push(("last_reload_error", Json::from(error)));
     }
@@ -462,7 +416,6 @@ pub fn encode_stats_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wwt_service::RecorderCounters;
 
     /// The tree builder the direct writer replaced, kept verbatim as the
     /// oracle for byte identity.
@@ -935,34 +888,9 @@ mod tests {
     #[test]
     fn stats_body_has_zero_hit_rate_when_empty() {
         let body = encode_stats(&ServiceStats {
-            hits: 0,
-            misses: 0,
-            coalesced: 0,
-            entries: 0,
             shards: 4,
             index_shards: 2,
-            generation: 0,
-            swap_count: 0,
-            deadline_exceeded: 0,
-            docset_cache_entries: 0,
-            delta_tables: 0,
-            delta_tombstones: 0,
-            tables_ingested: 0,
-            tables_deleted: 0,
-            compactions: 0,
-            batches_ingested: 0,
-            journal_attached: false,
-            journal_records: 0,
-            journal_bytes: 0,
-            recorder: RecorderCounters::default(),
-            map_edge_pairs_scored: 0,
-            map_edge_pairs_skipped: 0,
-            map_edge_pairs_memoized: 0,
-            map_early_exit_tables: 0,
-            internal_errors: 0,
-            degraded_queries: 0,
-            journal_retries: 0,
-            read_only: false,
+            ..ServiceStats::default()
         });
         assert!(body.contains("\"hit_rate\":0"), "{body}");
         let v = Json::parse(&body).unwrap();
@@ -971,42 +899,10 @@ mod tests {
 
     #[test]
     fn stats_body_keeps_old_names_and_adds_swap_and_deadline_counters() {
-        let body = encode_stats(&ServiceStats {
-            hits: 5,
-            misses: 2,
-            coalesced: 1,
-            entries: 3,
-            shards: 4,
-            index_shards: 2,
-            generation: 7,
-            swap_count: 7,
-            deadline_exceeded: 2,
-            docset_cache_entries: 11,
-            delta_tables: 3,
-            delta_tombstones: 1,
-            tables_ingested: 9,
-            tables_deleted: 2,
-            compactions: 4,
-            batches_ingested: 3,
-            journal_attached: true,
-            journal_records: 5,
-            journal_bytes: 640,
-            recorder: RecorderCounters {
-                recorded: 12,
-                deadline_exceeded: 2,
-                zero_results: 3,
-            },
-            map_edge_pairs_scored: 640,
-            map_edge_pairs_skipped: 1360,
-            map_edge_pairs_memoized: 480,
-            map_early_exit_tables: 21,
-            internal_errors: 1,
-            degraded_queries: 6,
-            journal_retries: 2,
-            read_only: true,
-        });
+        // The exact body is pinned in tests/pinned_bodies.rs; this checks
+        // the additive-evolution promise on its own.
+        let body = encode_stats(&ServiceStats::default());
         let v = Json::parse(&body).unwrap();
-        // Pre-existing field names stay untouched (additive evolution).
         for field in [
             "hits",
             "misses",
@@ -1014,55 +910,11 @@ mod tests {
             "entries",
             "shards",
             "hit_rate",
+            "swap_count",
+            "deadline_exceeded",
         ] {
             assert!(v.get(field).is_some(), "missing {field} in {body}");
         }
-        assert_eq!(v.get("generation").and_then(Json::as_u64), Some(7));
-        assert_eq!(v.get("swap_count").and_then(Json::as_u64), Some(7));
-        assert_eq!(v.get("deadline_exceeded").and_then(Json::as_u64), Some(2));
-        assert_eq!(v.get("index_shards").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            v.get("docset_cache_entries").and_then(Json::as_u64),
-            Some(11)
-        );
-        assert_eq!(v.get("delta_tables").and_then(Json::as_u64), Some(3));
-        assert_eq!(v.get("delta_tombstones").and_then(Json::as_u64), Some(1));
-        assert_eq!(v.get("tables_ingested").and_then(Json::as_u64), Some(9));
-        assert_eq!(v.get("tables_deleted").and_then(Json::as_u64), Some(2));
-        assert_eq!(v.get("compactions").and_then(Json::as_u64), Some(4));
-        assert_eq!(v.get("flight_records").and_then(Json::as_u64), Some(12));
-        assert_eq!(
-            v.get("flight_deadline_exceeded").and_then(Json::as_u64),
-            Some(2)
-        );
-        assert_eq!(v.get("flight_zero_results").and_then(Json::as_u64), Some(3));
-        assert_eq!(
-            v.get("map_edge_pairs_scored").and_then(Json::as_u64),
-            Some(640)
-        );
-        assert_eq!(
-            v.get("map_edge_pairs_skipped").and_then(Json::as_u64),
-            Some(1360)
-        );
-        assert_eq!(
-            v.get("map_edge_pairs_memoized").and_then(Json::as_u64),
-            Some(480)
-        );
-        assert_eq!(
-            v.get("map_early_exit_tables").and_then(Json::as_u64),
-            Some(21)
-        );
-        assert_eq!(v.get("batches_ingested").and_then(Json::as_u64), Some(3));
-        assert_eq!(
-            v.get("journal_attached").and_then(Json::as_bool),
-            Some(true)
-        );
-        assert_eq!(v.get("journal_records").and_then(Json::as_u64), Some(5));
-        assert_eq!(v.get("journal_bytes").and_then(Json::as_u64), Some(640));
-        assert_eq!(v.get("internal_errors").and_then(Json::as_u64), Some(1));
-        assert_eq!(v.get("degraded_queries").and_then(Json::as_u64), Some(6));
-        assert_eq!(v.get("journal_retries").and_then(Json::as_u64), Some(2));
-        assert_eq!(v.get("read_only").and_then(Json::as_bool), Some(true));
         // No journal path was supplied, so the field is absent — it only
         // appears via encode_stats_with when a journal is attached.
         assert!(v.get("journal_path").is_none());

@@ -36,7 +36,6 @@ use cache::ShardedCache;
 use singleflight::{FlightGroup, Role};
 pub use slot::{EngineSlot, EngineSnapshot};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use wwt_engine::{Engine, QueryRequest, QueryResponse};
@@ -73,92 +72,107 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Serving counters, taken as a consistent-enough snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests served from the cache.
-    pub hits: u64,
-    /// Requests that ran the engine (one per actual engine execution).
-    pub misses: u64,
-    /// Requests served by joining an identical in-flight computation
-    /// (singleflight followers).
-    pub coalesced: u64,
-    /// Entries currently cached (stale generations included until the
-    /// LRU ages them out).
-    pub entries: usize,
-    /// Number of cache shards.
-    pub shards: usize,
-    /// Number of *index* shards the serving engine scatter-gathers over
-    /// (1 = unsharded; sharding never changes answers, only parallelism).
-    pub index_shards: usize,
-    /// Generation of the engine snapshot currently serving (0 until the
-    /// first reload).
-    pub generation: u64,
-    /// Engine swaps performed by [`TableSearchService::reload`].
-    pub swap_count: u64,
-    /// Requests aborted because their `deadline_ms` budget expired.
-    pub deadline_exceeded: u64,
-    /// Entries resident in the index's doc-set probe memo (facade +
-    /// shards) — bounded and striped, so this gauge plateaus at the
-    /// cache capacity instead of growing forever under PMI-heavy
-    /// traffic.
-    pub docset_cache_entries: usize,
-    /// Tables currently living in the serving engine's mutable delta
-    /// segment (0 when the engine is fully compacted).
-    pub delta_tables: usize,
-    /// Frozen tables currently shadowed by a tombstone or a re-ingested
-    /// delta copy (0 when the engine is fully compacted).
-    pub delta_tombstones: usize,
-    /// Tables accepted by [`TableSearchService::ingest_table`] since
-    /// startup.
-    pub tables_ingested: u64,
-    /// Tables removed by [`TableSearchService::remove_table`] since
-    /// startup.
-    pub tables_deleted: u64,
-    /// Delta-into-frozen compactions performed by
-    /// [`TableSearchService::compact`] since startup.
-    pub compactions: u64,
-    /// Batches accepted by [`TableSearchService::ingest_tables`] since
-    /// startup (each batch also counts its tables in `tables_ingested`).
-    pub batches_ingested: u64,
-    /// Whether a write-ahead journal is attached — live mutations are
-    /// fsync'd to disk before they are acknowledged and replay at boot.
-    pub journal_attached: bool,
-    /// Intact records currently in the attached journal (0 without one;
-    /// drops to 0 when compaction truncates it).
-    pub journal_records: u64,
-    /// Bytes of intact records currently in the attached journal.
-    pub journal_bytes: u64,
-    /// Flight-recorder totals over every query that went through
-    /// [`TableSearchService::answer_observed`] (queries answered via the
-    /// plain [`TableSearchService::answer`] path are not recorded).
-    pub recorder: RecorderCounters,
-    /// Column pairs whose exact similarity was computed during edge
-    /// construction, summed over every engine run.
-    pub map_edge_pairs_scored: u64,
-    /// Column pairs the content-signature edge index skipped (their
-    /// similarity is provably zero), summed over every engine run.
-    pub map_edge_pairs_skipped: u64,
-    /// Column pairs replayed from the engine's cross-query pair memo
-    /// instead of being recomputed, summed over every engine run.
-    pub map_edge_pairs_memoized: u64,
-    /// Tables whose relevant upper bound could not beat all-`nr` (the
-    /// exact solver early exit), summed over every engine run.
-    pub map_early_exit_tables: u64,
-    /// Pipeline panics caught at the service boundary and converted to
-    /// [`WwtError::Internal`] (HTTP 500) instead of killing a worker.
-    pub internal_errors: u64,
-    /// Fail-soft responses served with `degraded: true` — partial
-    /// answers that survived a shard failure, panic or deadline squeeze.
-    pub degraded_queries: u64,
-    /// Journal appends that succeeded only after at least one retry
-    /// (transient write errors absorbed by the bounded backoff loop).
-    pub journal_retries: u64,
-    /// Whether the service is in sticky read-only degraded mode:
-    /// journal appends exhausted their retries, mutations are refused
-    /// with [`WwtError::Unavailable`] (HTTP 503) until an operator
-    /// recovers it; queries are unaffected.
-    pub read_only: bool,
+wwt_obs::series! {
+    /// Serving counters, taken as a consistent-enough snapshot. Each one
+    /// is declared here once; `GET /stats` and `GET /metrics` render
+    /// from this list.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServiceStats stored in Counters {
+        stored hits: u64 => "hits", "wwt_cache_hits_total", Counter,
+            "Requests served from the response cache.";
+        /// One per actual engine execution.
+        stored misses: u64 => "misses", "wwt_cache_misses_total", Counter,
+            "Requests that ran the engine.";
+        /// These are the singleflight followers.
+        stored coalesced: u64 => "coalesced", "wwt_cache_coalesced_total", Counter,
+            "Requests served by joining an identical in-flight computation.";
+        /// Stale generations count until the LRU ages them out.
+        sampled entries: usize => "entries", "wwt_cache_entries", Gauge,
+            "Responses currently cached.";
+        sampled shards: usize => "shards", _, Gauge, "Number of cache shards.";
+        /// 0 until the first reload.
+        sampled generation: u64 => "generation", "wwt_engine_generation", Gauge,
+            "Generation of the engine snapshot currently serving.";
+        /// Each one a [`TableSearchService::reload`].
+        stored swap_count: u64 => "swap_count", "wwt_engine_swaps_total", Counter,
+            "Engine snapshots hot-swapped in since boot.";
+        /// Not the HTTP 504 count: `wwt_http_deadline_exceeded_total` also
+        /// counts queries shed at admission and expired batch slots.
+        stored deadline_exceeded: u64 => "deadline_exceeded", _, Counter,
+            "Engine runs that hit their deadline_ms budget.";
+        /// 1 = unsharded; sharding never changes answers, only parallelism.
+        sampled index_shards: usize => "index_shards", "wwt_index_shards", Gauge,
+            "Index shards the serving engine scatter-gathers over.";
+        /// Facade plus shards. Bounded and striped, so the gauge plateaus
+        /// at the cache capacity under PMI-heavy traffic.
+        sampled docset_cache_entries: usize => "docset_cache_entries",
+            "wwt_docset_cache_entries", Gauge,
+            "Entries resident in the bounded doc-set probe memo.";
+        /// 0 when the engine is fully compacted.
+        sampled delta_tables: usize => "delta_tables", "wwt_delta_tables", Gauge,
+            "Tables in the serving engine's mutable delta segment.";
+        /// 0 when the engine is fully compacted.
+        sampled delta_tombstones: usize => "delta_tombstones", "wwt_delta_tombstones", Gauge,
+            "Frozen tables shadowed by a tombstone or re-ingested copy.";
+        /// Through [`TableSearchService::ingest_table`] or
+        /// [`TableSearchService::ingest_tables`].
+        stored tables_ingested: u64 => "tables_ingested", "wwt_tables_ingested_total", Counter,
+            "Tables accepted by live ingest since boot.";
+        /// Through [`TableSearchService::remove_table`].
+        stored tables_deleted: u64 => "tables_deleted", "wwt_tables_deleted_total", Counter,
+            "Tables removed by live delete since boot.";
+        /// Through [`TableSearchService::compact`].
+        stored compactions: u64 => "compactions", "wwt_compactions_total", Counter,
+            "Delta-into-frozen compactions performed since boot.";
+        /// Through [`TableSearchService::ingest_tables`]; each batch also
+        /// counts its tables in `tables_ingested`.
+        stored batches_ingested: u64 => "batches_ingested", "wwt_batches_ingested_total", Counter,
+            "Multi-table ingest batches accepted since boot.";
+        /// Live mutations are then fsync'd before they are acknowledged
+        /// and replay at boot.
+        stored journal_attached: bool => "journal_attached", "wwt_journal_attached", Gauge,
+            "1 when a write-ahead journal is attached, else 0.";
+        /// 0 without one; drops to 0 when compaction truncates it.
+        stored journal_records: u64 => "journal_records", "wwt_journal_records", Gauge,
+            "Intact mutation records currently in the write-ahead journal.";
+        stored journal_bytes: u64 => "journal_bytes", "wwt_journal_bytes", Gauge,
+            "Bytes of intact records currently in the write-ahead journal.";
+        /// Flight-recorder totals over every query that went through
+        /// [`TableSearchService::answer_observed`] (queries answered via the
+        /// plain [`TableSearchService::answer`] path are not recorded).
+        nested recorder: RecorderCounters;
+        /// Summed over every engine run.
+        stored map_edge_pairs_scored: u64 => "map_edge_pairs_scored",
+            "wwt_map_edge_pairs_scored_total", Counter,
+            "Column pairs exactly scored during edge construction.";
+        /// Their similarity is provably zero. Summed over every engine run.
+        stored map_edge_pairs_skipped: u64 => "map_edge_pairs_skipped",
+            "wwt_map_edge_pairs_skipped_total", Counter,
+            "Column pairs skipped by the content-signature edge index.";
+        /// Instead of being recomputed. Summed over every engine run.
+        stored map_edge_pairs_memoized: u64 => "map_edge_pairs_memoized",
+            "wwt_map_edge_pairs_memoized_total", Counter,
+            "Column pairs replayed from the cross-query pair memo.";
+        /// The exact solver early exit. Summed over every engine run.
+        stored map_early_exit_tables: u64 => "map_early_exit_tables",
+            "wwt_map_early_exit_tables_total", Counter,
+            "Tables whose relevant upper bound could not beat all-nr.";
+        /// Converted to [`WwtError::Internal`] instead of killing a worker.
+        stored internal_errors: u64 => "internal_errors", "wwt_internal_errors_total", Counter,
+            "Pipeline panics caught at the service boundary and answered 500.";
+        /// Partial answers that survived a shard failure, panic or
+        /// deadline squeeze.
+        stored degraded_queries: u64 => "degraded_queries", "wwt_degraded_queries_total", Counter,
+            "Fail-soft responses served with degraded: true (partial results).";
+        /// Transient write errors absorbed by the bounded backoff loop.
+        stored journal_retries: u64 => "journal_retries", "wwt_journal_retries_total", Counter,
+            "Journal appends that needed at least one retry before succeeding.";
+        /// Journal appends exhausted their retries: mutations are refused
+        /// with [`WwtError::Unavailable`] (HTTP 503) until an operator
+        /// recovers it; queries are unaffected.
+        stored read_only: bool => "read_only", "wwt_read_only", Gauge,
+            "1 while the service is in sticky read-only degraded mode, else 0.";
+    }
 }
 
 impl ServiceStats {
@@ -194,38 +208,20 @@ pub struct TableSearchService {
     slot: EngineSlot,
     cache: Option<ShardedCache<Arc<QueryResponse>>>,
     inflight: FlightGroup<Arc<QueryResponse>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    swap_count: AtomicU64,
-    deadline_exceeded: AtomicU64,
+    /// The stored [`ServiceStats`] series. `read_only` doubles as the
+    /// sticky read-only degraded mode flag: set when a journal append
+    /// exhausts its retries, cleared only by
+    /// [`TableSearchService::clear_read_only`]; mutations check it up
+    /// front, queries never look at it.
+    counters: Counters,
     /// Serializes live mutations (ingest / remove / compact) so each one
     /// applies to the engine the previous one published. Queries never
     /// take this lock.
     live_lock: Mutex<()>,
     /// The write-ahead journal (if attached) and where compaction
     /// persists the folded index. Only touched under `live_lock` on the
-    /// mutation path; `stats()` reads the mirrored atomics instead.
+    /// mutation path; `stats()` reads the mirrored counters instead.
     journal: Mutex<Option<JournalState>>,
-    tables_ingested: AtomicU64,
-    tables_deleted: AtomicU64,
-    compactions: AtomicU64,
-    batches_ingested: AtomicU64,
-    journal_attached: std::sync::atomic::AtomicBool,
-    journal_records: AtomicU64,
-    journal_bytes: AtomicU64,
-    map_edge_pairs_scored: AtomicU64,
-    map_edge_pairs_skipped: AtomicU64,
-    map_edge_pairs_memoized: AtomicU64,
-    map_early_exit_tables: AtomicU64,
-    internal_errors: AtomicU64,
-    degraded_queries: AtomicU64,
-    journal_retries: AtomicU64,
-    /// Sticky read-only degraded mode: set when a journal append
-    /// exhausts its retries, cleared only by
-    /// [`TableSearchService::clear_read_only`]. Mutations check it up
-    /// front; queries never look at it.
-    read_only: std::sync::atomic::AtomicBool,
     recorder: FlightRecorder,
     config: ServiceConfig,
 }
@@ -289,28 +285,9 @@ impl TableSearchService {
             slot: EngineSlot::new(engine),
             cache,
             inflight: FlightGroup::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            swap_count: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
+            counters: Counters::default(),
             live_lock: Mutex::new(()),
             journal: Mutex::new(None),
-            tables_ingested: AtomicU64::new(0),
-            tables_deleted: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            batches_ingested: AtomicU64::new(0),
-            journal_attached: std::sync::atomic::AtomicBool::new(false),
-            journal_records: AtomicU64::new(0),
-            journal_bytes: AtomicU64::new(0),
-            map_edge_pairs_scored: AtomicU64::new(0),
-            map_edge_pairs_skipped: AtomicU64::new(0),
-            map_edge_pairs_memoized: AtomicU64::new(0),
-            map_early_exit_tables: AtomicU64::new(0),
-            internal_errors: AtomicU64::new(0),
-            degraded_queries: AtomicU64::new(0),
-            journal_retries: AtomicU64::new(0),
-            read_only: std::sync::atomic::AtomicBool::new(false),
             recorder: FlightRecorder::new(config.recorder),
             config,
         }
@@ -343,7 +320,7 @@ impl TableSearchService {
     /// clear, so the hit rate of unrelated traffic is undisturbed.
     pub fn reload(&self, engine: Arc<Engine>) -> u64 {
         let generation = self.slot.swap(engine);
-        self.swap_count.fetch_add(1, Ordering::Relaxed);
+        self.counters.swap_count.inc();
         generation
     }
 
@@ -368,7 +345,7 @@ impl TableSearchService {
         let next = self.engine().with_table_added(table);
         self.journal_append(std::slice::from_ref(&record))?;
         let generation = self.reload(Arc::new(next));
-        self.tables_ingested.fetch_add(1, Ordering::Relaxed);
+        self.counters.tables_ingested.inc();
         Ok(generation)
     }
 
@@ -391,8 +368,8 @@ impl TableSearchService {
         let next = self.engine().with_tables_added(tables);
         self.journal_append(&records)?;
         let generation = self.reload(Arc::new(next));
-        self.tables_ingested.fetch_add(count, Ordering::Relaxed);
-        self.batches_ingested.fetch_add(1, Ordering::Relaxed);
+        self.counters.tables_ingested.add(count);
+        self.counters.batches_ingested.inc();
         Ok(generation)
     }
 
@@ -408,7 +385,7 @@ impl TableSearchService {
         };
         self.journal_append(&[JournalRecord::RemoveTable(id)])?;
         let generation = self.reload(Arc::new(next));
-        self.tables_deleted.fetch_add(1, Ordering::Relaxed);
+        self.counters.tables_deleted.inc();
         Ok(Some(generation))
     }
 
@@ -432,16 +409,13 @@ impl TableSearchService {
         }
         let next = Arc::new(engine.compacted());
         let generation = self.reload(Arc::clone(&next));
-        self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.counters.compactions.inc();
         let mut guard = self.journal.lock().unwrap();
         if let Some(state) = guard.as_mut() {
             if let Some(dir) = state.persist_dir.clone() {
                 next.save_to_dir_atomic(&dir)?;
                 state.journal.truncate().map_err(WwtError::Io)?;
-                self.journal_records
-                    .store(state.journal.records(), Ordering::Relaxed);
-                self.journal_bytes
-                    .store(state.journal.bytes(), Ordering::Relaxed);
+                self.note_journal_size(&state.journal);
             }
         }
         Ok(generation)
@@ -462,11 +436,8 @@ impl TableSearchService {
     /// here.
     pub fn attach_journal(&self, journal: Journal, persist_dir: Option<PathBuf>) {
         let _guard = self.live_lock.lock().unwrap();
-        self.journal_records
-            .store(journal.records(), Ordering::Relaxed);
-        self.journal_bytes.store(journal.bytes(), Ordering::Relaxed);
-        self.journal_attached
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+        self.note_journal_size(&journal);
+        self.counters.journal_attached.set(1);
         *self.journal.lock().unwrap() = Some(JournalState {
             journal,
             persist_dir,
@@ -508,25 +479,25 @@ impl TableSearchService {
             }
             match state.journal.append_all(records) {
                 Ok(()) => {
-                    self.journal_records
-                        .store(state.journal.records(), Ordering::Relaxed);
-                    self.journal_bytes
-                        .store(state.journal.bytes(), Ordering::Relaxed);
-                    if attempt > 0 {
-                        self.journal_retries
-                            .fetch_add(u64::from(attempt), Ordering::Relaxed);
-                    }
+                    self.note_journal_size(&state.journal);
+                    self.counters.journal_retries.add(u64::from(attempt));
                     return Ok(());
                 }
                 Err(e) => last = Some(e),
             }
         }
         let e = last.expect("at least one append attempt ran");
-        self.read_only
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+        self.counters.read_only.set(1);
         Err(WwtError::Unavailable(format!(
             "journal append failed {ATTEMPTS} times ({e}); service is read-only until recovery"
         )))
+    }
+
+    /// Mirrors the journal's size into the `journal_records` and
+    /// `journal_bytes` gauges.
+    fn note_journal_size(&self, journal: &Journal) {
+        self.counters.journal_records.set(journal.records());
+        self.counters.journal_bytes.set(journal.bytes());
     }
 
     /// Fast-fail gate at the top of every mutation: refuses with
@@ -546,15 +517,14 @@ impl TableSearchService {
     /// Whether the service is in sticky read-only degraded mode
     /// (mutations refused, queries unaffected).
     pub fn read_only(&self) -> bool {
-        self.read_only.load(std::sync::atomic::Ordering::Relaxed)
+        self.counters.read_only.get() != 0
     }
 
     /// Clears sticky read-only degraded mode — the operator's recovery
     /// lever (`POST /admin/recover`) once the journal's storage is
     /// healthy again. A no-op when the service is already writable.
     pub fn clear_read_only(&self) {
-        self.read_only
-            .store(false, std::sync::atomic::Ordering::Relaxed);
+        self.counters.read_only.set(0);
     }
 
     /// Tables currently in the serving engine's delta segment.
@@ -587,16 +557,16 @@ impl TableSearchService {
         let snapshot = self.slot.load();
         let key = format!("g{}\u{1f}{}", snapshot.generation, request.cache_key());
         if let Some(hit) = self.cache_get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.inc();
             return Ok((hit, CachePath::Hit));
         }
         match self.inflight.join(&key, || self.cache_get(&key)) {
             Role::Cached(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.inc();
                 Ok((hit, CachePath::Hit))
             }
             Role::Shared(Some(shared)) => {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                self.counters.coalesced.inc();
                 Ok((shared, CachePath::Shared))
             }
             // The leader failed (or unwound); coalescing is best-effort,
@@ -607,7 +577,7 @@ impl TableSearchService {
             Role::Leader(guard) => match self.execute(&snapshot, request, &Trace::disabled()) {
                 Ok(response) => {
                     let response = Arc::new(response);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters.misses.inc();
                     // The cache insert happens while the flight closes, so
                     // late joiners either share the flight or hit the cache
                     // in their recheck — never a second engine run.
@@ -658,7 +628,7 @@ impl TableSearchService {
             trace.note("generation", snapshot.generation.to_string());
             return match self.execute(&snapshot, request, &trace) {
                 Ok(response) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters.misses.inc();
                     let response = Arc::new(response);
                     self.record_flight(request, request_id, t0.elapsed(), Ok(&response), None);
                     Ok(ObservedAnswer {
@@ -763,7 +733,7 @@ impl TableSearchService {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
             Ok(result) => result,
             Err(payload) => {
-                self.internal_errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.internal_errors.inc();
                 Err(WwtError::Internal(format!(
                     "query pipeline panicked: {}",
                     wwt_pool::panic_message(payload.as_ref())
@@ -784,21 +754,18 @@ impl TableSearchService {
     ) -> Result<QueryResponse, WwtError> {
         let result = self.run_isolated(|| snapshot.engine.answer_traced(request, trace));
         if matches!(result, Err(WwtError::DeadlineExceeded(_))) {
-            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            self.counters.deadline_exceeded.inc();
         }
         if let Ok(response) = &result {
             if response.diagnostics.degraded {
-                self.degraded_queries.fetch_add(1, Ordering::Relaxed);
+                self.counters.degraded_queries.inc();
             }
             let ms = response.diagnostics.map_stats;
-            self.map_edge_pairs_scored
-                .fetch_add(ms.edge_pairs_scored, Ordering::Relaxed);
-            self.map_edge_pairs_skipped
-                .fetch_add(ms.edge_pairs_skipped, Ordering::Relaxed);
-            self.map_edge_pairs_memoized
-                .fetch_add(ms.edge_pairs_memoized, Ordering::Relaxed);
-            self.map_early_exit_tables
-                .fetch_add(ms.early_exit_tables, Ordering::Relaxed);
+            let c = &self.counters;
+            c.map_edge_pairs_scored.add(ms.edge_pairs_scored);
+            c.map_edge_pairs_skipped.add(ms.edge_pairs_skipped);
+            c.map_edge_pairs_memoized.add(ms.edge_pairs_memoized);
+            c.map_early_exit_tables.add(ms.early_exit_tables);
         }
         result
     }
@@ -812,7 +779,7 @@ impl TableSearchService {
         key: &str,
     ) -> Result<Arc<QueryResponse>, WwtError> {
         let response = Arc::new(self.execute(snapshot, request, &Trace::disabled())?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.inc();
         if let Some(cache) = &self.cache {
             cache.insert(key.to_string(), Arc::clone(&response));
         }
@@ -835,38 +802,18 @@ impl TableSearchService {
     /// Current serving counters.
     pub fn stats(&self) -> ServiceStats {
         let snapshot = self.slot.load();
-        ServiceStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: self.cache.as_ref().map(ShardedCache::len).unwrap_or(0),
-            shards: self.cache.as_ref().map(ShardedCache::n_shards).unwrap_or(0),
-            index_shards: snapshot.engine.n_shards(),
+        let cache = self.cache.as_ref();
+        self.counters.load(ServiceStats {
+            entries: cache.map(ShardedCache::len).unwrap_or(0),
+            shards: cache.map(ShardedCache::n_shards).unwrap_or(0),
             generation: self.slot.generation(),
-            swap_count: self.swap_count.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
+            index_shards: snapshot.engine.n_shards(),
             docset_cache_entries: snapshot.engine.docset_cache_entries(),
             delta_tables: snapshot.engine.delta_len(),
             delta_tombstones: snapshot.engine.tombstone_len(),
-            tables_ingested: self.tables_ingested.load(Ordering::Relaxed),
-            tables_deleted: self.tables_deleted.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            batches_ingested: self.batches_ingested.load(Ordering::Relaxed),
-            journal_attached: self
-                .journal_attached
-                .load(std::sync::atomic::Ordering::Relaxed),
-            journal_records: self.journal_records.load(Ordering::Relaxed),
-            journal_bytes: self.journal_bytes.load(Ordering::Relaxed),
             recorder: self.recorder.counters(),
-            map_edge_pairs_scored: self.map_edge_pairs_scored.load(Ordering::Relaxed),
-            map_edge_pairs_skipped: self.map_edge_pairs_skipped.load(Ordering::Relaxed),
-            map_edge_pairs_memoized: self.map_edge_pairs_memoized.load(Ordering::Relaxed),
-            map_early_exit_tables: self.map_early_exit_tables.load(Ordering::Relaxed),
-            internal_errors: self.internal_errors.load(Ordering::Relaxed),
-            degraded_queries: self.degraded_queries.load(Ordering::Relaxed),
-            journal_retries: self.journal_retries.load(Ordering::Relaxed),
-            read_only: self.read_only(),
-        }
+            ..ServiceStats::default()
+        })
     }
 
     /// Drops every cached response (counters are kept).
@@ -1276,7 +1223,7 @@ mod tests {
                 let req = req.clone();
                 let stop = &stop;
                 scope.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let out = service.answer(&req).unwrap();
                         // Every answer is complete and from one coherent
                         // snapshot — never empty, never torn.
@@ -1291,7 +1238,7 @@ mod tests {
                 let next = if i % 2 == 0 { &brazil } else { &tiny };
                 service.reload(Arc::clone(next));
             }
-            stop.store(true, Ordering::Relaxed);
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
         let stats = service.stats();
         assert_eq!(stats.swap_count, SWAPS as u64);
@@ -1684,9 +1631,7 @@ mod tests {
         // Force the sticky degraded mode (journal_append sets this when
         // its retries are exhausted; see tests/chaos_resilience.rs for
         // the fault-injected end-to-end path).
-        service
-            .read_only
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+        service.counters.read_only.set(1);
 
         for result in [
             service.ingest_table(volcano_table()).map(Some),

@@ -453,6 +453,17 @@
 //!   stage plus `cache_lookup` and `serialize`, fed from the stage
 //!   timings the engine already measures (cache hits tick only
 //!   `cache_lookup`, never re-observe the run that built the entry).
+//! * **Declared counters** — every scalar counter and gauge is declared
+//!   once, with [`obs::series!`]: the service's in
+//!   [`service::ServiceStats`], the HTTP layer's in `server::metrics`.
+//!   The snapshot struct, its relaxed atomic cells (one `fetch_add` per
+//!   increment), the `GET /stats` keys and the `GET /metrics` families
+//!   all derive from that one list. Note that `/stats`
+//!   `deadline_exceeded` counts engine runs that hit their budget, while
+//!   `wwt_http_deadline_exceeded_total` counts every 504, admission shed
+//!   and batch slots included. Both histogram families share one
+//!   [`obs::Histogram`], whose render never lets a finite bucket exceed
+//!   `+Inf` even when a scrape races an observe.
 //! * **Flight recorder** — the service retains the N slowest, N most
 //!   recent, and every deadline-exceeded / zero-result query with full
 //!   stage-level traces in lock-striped rings; the admin-gated

@@ -9,45 +9,16 @@
 //! A torn tail (the crash landed mid-append) must truncate back to the
 //! intact prefix and keep booting, never fail the boot.
 
+mod support;
+
 use std::path::PathBuf;
-use wwt::core::InferenceAlgorithm;
-use wwt::corpus::{workload, CorpusConfig, CorpusGenerator, GeneratedCorpus};
+use support::{canonical_bytes, corpus, ALGORITHMS};
+use wwt::corpus::GeneratedCorpus;
 use wwt::engine::{bind_corpus_sharded, Engine, EngineBuilder, QueryRequest, WwtConfig};
 use wwt::index::{table_to_json, FsyncPolicy, Journal, JournalRecord};
 use wwt::model::{TableId, WebTable};
-use wwt::server::wire::encode_response;
-
-const ALGORITHMS: [InferenceAlgorithm; 5] = [
-    InferenceAlgorithm::Independent,
-    InferenceAlgorithm::TableCentric,
-    InferenceAlgorithm::AlphaExpansion,
-    InferenceAlgorithm::BeliefPropagation,
-    InferenceAlgorithm::Trws,
-];
 
 const SHARDS: usize = 3;
-
-fn corpus(n_queries: usize, scale: f64) -> (GeneratedCorpus, Vec<wwt::model::Query>) {
-    let specs: Vec<_> = workload().into_iter().take(n_queries).collect();
-    let generated = CorpusGenerator::new(CorpusConfig {
-        scale,
-        ..CorpusConfig::default()
-    })
-    .generate_for(&specs);
-    let queries = specs.iter().map(|s| s.query.clone()).collect();
-    (generated, queries)
-}
-
-/// The canonical wire bytes of a response, with wall-clock timings
-/// zeroed.
-fn canonical_bytes(request: &QueryRequest, engine: &Engine) -> String {
-    let mut response = engine
-        .answer(request)
-        .expect("recovery requests carry no deadline and valid options");
-    response.diagnostics.timing = Default::default();
-    response.retrieval.timing = Default::default();
-    encode_response(request, &response)
-}
 
 fn extracted_tables(generated: &GeneratedCorpus) -> Vec<WebTable> {
     bind_corpus_sharded(generated, WwtConfig::default(), Some(SHARDS))

@@ -14,53 +14,14 @@
 //! property-style loop drives per-request option draws from a
 //! deterministic SplitMix64 stream, so failures reproduce.
 
-use wwt::core::{ColumnMapper, InferenceAlgorithm, MapperConfig, TableView};
-use wwt::corpus::{workload, CorpusConfig, CorpusGenerator, GeneratedCorpus};
+mod support;
+
+use support::{canonical_bytes, corpus, splitmix, ALGORITHMS};
+use wwt::core::{ColumnMapper, MapperConfig, TableView};
+use wwt::corpus::GeneratedCorpus;
 use wwt::engine::{bind_corpus_sharded, Engine, QueryOptions, QueryRequest, WwtConfig};
 use wwt::index::DocSets;
 use wwt::model::WebTable;
-use wwt::server::wire::encode_response;
-
-const ALGORITHMS: [InferenceAlgorithm; 5] = [
-    InferenceAlgorithm::Independent,
-    InferenceAlgorithm::TableCentric,
-    InferenceAlgorithm::AlphaExpansion,
-    InferenceAlgorithm::BeliefPropagation,
-    InferenceAlgorithm::Trws,
-];
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn corpus(n_queries: usize, scale: f64) -> (GeneratedCorpus, Vec<wwt::model::Query>) {
-    let specs: Vec<_> = workload().into_iter().take(n_queries).collect();
-    let generated = CorpusGenerator::new(CorpusConfig {
-        scale,
-        ..CorpusConfig::default()
-    })
-    .generate_for(&specs);
-    let queries = specs.iter().map(|s| s.query.clone()).collect();
-    (generated, queries)
-}
-
-/// The canonical wire bytes of a response, with wall-clock timings
-/// zeroed.
-fn canonical_bytes(request: &QueryRequest, engine: &Engine) -> String {
-    let mut response = engine
-        .answer(request)
-        .expect("equivalence requests carry no deadline and valid options");
-    response.diagnostics.timing = Default::default();
-    response.retrieval.timing = Default::default();
-    if let Some(trace) = response.diagnostics.trace.as_mut() {
-        trace.zero_timings();
-    }
-    encode_response(request, &response)
-}
 
 fn oracle_config(base: WwtConfig) -> WwtConfig {
     WwtConfig {

@@ -11,18 +11,12 @@
 //!
 //! `WWT_SHARDS=<n>` adds an extra shard count to the sweep (CI pins 4).
 
-use wwt::core::{InferenceAlgorithm, MapperConfig};
-use wwt::corpus::{workload, CorpusConfig, CorpusGenerator, GeneratedCorpus};
-use wwt::engine::{bind_corpus_sharded, Engine, QueryOptions, QueryRequest, WwtConfig};
-use wwt::server::wire::encode_response;
+mod support;
 
-const ALGORITHMS: [InferenceAlgorithm; 5] = [
-    InferenceAlgorithm::Independent,
-    InferenceAlgorithm::TableCentric,
-    InferenceAlgorithm::AlphaExpansion,
-    InferenceAlgorithm::BeliefPropagation,
-    InferenceAlgorithm::Trws,
-];
+use support::{canonical_bytes, corpus, splitmix, ALGORITHMS};
+use wwt::core::MapperConfig;
+use wwt::corpus::GeneratedCorpus;
+use wwt::engine::{bind_corpus_sharded, Engine, QueryOptions, QueryRequest, WwtConfig};
 
 /// Shard counts under test: the unsharded reference plus real splits,
 /// plus whatever CI pins via `WWT_SHARDS`.
@@ -38,37 +32,6 @@ fn shard_counts() -> Vec<usize> {
         }
     }
     counts
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A corpus over the first `n_queries` workload specs at `scale`.
-fn corpus(n_queries: usize, scale: f64) -> (GeneratedCorpus, Vec<wwt::model::Query>) {
-    let specs: Vec<_> = workload().into_iter().take(n_queries).collect();
-    let generated = CorpusGenerator::new(CorpusConfig {
-        scale,
-        ..CorpusConfig::default()
-    })
-    .generate_for(&specs);
-    let queries = specs.iter().map(|s| s.query.clone()).collect();
-    (generated, queries)
-}
-
-/// The canonical wire bytes of a response, with wall-clock timings
-/// zeroed (they are diagnostics of *when*, not *what*).
-fn canonical_bytes(request: &QueryRequest, engine: &Engine) -> String {
-    let mut response = engine
-        .answer(request)
-        .expect("equivalence requests carry no deadline and valid options");
-    response.diagnostics.timing = Default::default();
-    response.retrieval.timing = Default::default();
-    encode_response(request, &response)
 }
 
 /// Asserts byte-identity for one request across every shard count.
