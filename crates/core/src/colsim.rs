@@ -72,19 +72,43 @@
 //! the table contents it describes — the engine replaces it whenever a
 //! live mutation can rebind a table id.
 //!
+//! ## Layout and eviction
+//!
+//! The memo is 16 lock stripes. A stripe keeps up to two *generations*,
+//! each a `(table id, table id)` → `(offset, length)` table over two flat
+//! arenas: one of one-byte column-id pairs, one of `f64` similarities. A
+//! memoized pair therefore costs one table slot and ten bytes per matched
+//! column pair, and no allocation of its own. A generation reserves room
+//! for 28 672 pairs and 57 344 matched column pairs once, when first
+//! needed, and never grows: a 32 768-bucket table of 16-byte slots plus
+//! the arenas, 1 130 496 bytes. When the current generation is full it
+//! becomes the previous one, and the old previous one is emptied whole
+//! and reused as the new current one. A lookup tries the current
+//! generation, then the previous one, and copies a hit from the previous
+//! generation into the current one, so a pair still in use survives a
+//! rotation.
+//!
+//! The memo thus evicts, oldest generation first, instead of refusing to
+//! learn once full. It reserves at most 36 175 872 bytes (≈ 36.2 MB),
+//! with both generations of every stripe allocated. One generation holds
+//! the working set of the scale-10 serving benchmark's cold walk
+//! (348 682 pairs with 743 211 matched column pairs, so about 21.8 k
+//! pairs and 46.5 k matches a stripe). A pair of a table wider than 256
+//! columns does not fit the one-byte ids: it is recomputed on every
+//! visit, which is exact, just not accelerated.
+//!
 //! A query maps its candidates twice: the stage-1 premap, then — when
 //! the second probe adds tables — the final map over stage 1 ++ stage 2,
-//! which revisits every stage-1 pair in the same relative order. A
-//! request-scoped memo ([`PairMemo::scoped`]) carries the premap's
-//! matchings into the final map even once the engine-wide memo is full:
-//! it is consulted before its parent, records every matching the request
-//! computes or replays, and forwards new ones to the parent.
+//! which revisits every stage-1 pair in the same relative order. The
+//! premap has just inserted or refreshed every one of those pairs, so the
+//! final map replays them from the engine-wide memo; only two rotations
+//! of a stripe in between could evict one, and that pair is then
+//! recomputed bit-for-bit.
 
 use crate::config::MapperConfig;
 use crate::view::{InternedFeatures, TableView};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 use wwt_graph::{solve_assignment, Assignment};
 use wwt_model::WwtError;
 
@@ -105,26 +129,141 @@ pub struct EdgeStats {
 /// Lock stripes of the pair memo: bounds contention when many queries
 /// warm the memo concurrently.
 const MEMO_STRIPES: usize = 16;
-/// Per-stripe entry cap. Inserts beyond it are dropped (never evicted):
-/// the memo is an accelerator, not a source of truth, and a bounded one
-/// cannot grow without limit on a hostile workload. The cost is that an
-/// engine-wide memo saturates: at corpus scale 10 (19 170 tables) its
-/// 65 536 entries are full within the first ~100 cold queries, and it
-/// learns no new pair after that.
-const MEMO_STRIPE_CAP: usize = 4096;
-
+/// Table pairs one generation of a stripe holds: 7/8 of a power of two,
+/// so its table fills 32 768 buckets exactly.
+const GEN_PAIRS: usize = 28_672;
+/// Matched column pairs one generation of a stripe holds: two per table
+/// pair, where the cold working set averages 2.13.
+const GEN_MATCHES: usize = 2 * GEN_PAIRS;
+/// Widest table whose pairs the memo holds: the arenas store column ids
+/// as single bytes.
+const MEMO_MAX_COLS: usize = 1 << u8::BITS;
 /// Smallest `min_column_sim` for which [`match_columns`] trusts a forced
 /// matching without running the flow (see "Forced matchings" in the
 /// module docs): three orders of magnitude above the solver's 1e-12
 /// relaxation slack.
 const FORCED_MIN_SIM: f64 = 1e-9;
 
-/// One table pair's matched `(col_a, col_b, sim)` list, as memoized.
-type Matched = Arc<Vec<(u32, u32, f64)>>;
+/// One matched column pair `(col_a, col_b, sim)`, as memoized.
+type Match = (u8, u8, f64);
+
+/// The room of one generation: table pairs, and matched column pairs.
+#[derive(Debug, Clone, Copy)]
+struct Budget {
+    pairs: usize,
+    matches: usize,
+}
+
+/// One generation of a memo stripe: a key → `(offset << 16) | length`
+/// table over the two arenas, all reserved once at full size.
+#[derive(Debug)]
+struct Generation {
+    index: HashMap<u64, u64>,
+    cols: Vec<[u8; 2]>,
+    sims: Vec<f64>,
+}
+
+impl Generation {
+    fn reserve(budget: Budget) -> Self {
+        Generation {
+            index: HashMap::with_capacity(budget.pairs),
+            cols: Vec::with_capacity(budget.matches),
+            sims: Vec::with_capacity(budget.matches),
+        }
+    }
+
+    /// Appends the matching memoized under `key` to `out`; false if none.
+    fn get(&self, key: u64, out: &mut Vec<Match>) -> bool {
+        let Some(&slot) = self.index.get(&key) else {
+            return false;
+        };
+        let range = (slot >> 16) as usize..(slot >> 16) as usize + (slot & 0xFFFF) as usize;
+        out.extend(
+            self.cols[range.clone()]
+                .iter()
+                .zip(&self.sims[range])
+                .map(|(&[ca, cb], &sim)| (ca, cb, sim)),
+        );
+        true
+    }
+
+    /// Memoizes `matched` under `key`; false, storing nothing, when the
+    /// generation has no room left. The capacity checks come first so the
+    /// table is never asked to grow.
+    fn push(&mut self, key: u64, matched: &[Match], budget: Budget) -> bool {
+        if self.index.contains_key(&key) {
+            return true;
+        }
+        if self.index.len() == budget.pairs || self.cols.len() + matched.len() > budget.matches {
+            return false;
+        }
+        self.index
+            .insert(key, (self.cols.len() as u64) << 16 | matched.len() as u64);
+        self.cols
+            .extend(matched.iter().map(|&(ca, cb, _)| [ca, cb]));
+        self.sims.extend(matched.iter().map(|&(_, _, sim)| sim));
+        true
+    }
+
+    /// Drops every entry at once, keeping the reserved room.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.cols.clear();
+        self.sims.clear();
+    }
+}
+
+/// One lock stripe: the current generation and the previous one, each
+/// allocated on first need.
+#[derive(Debug, Default)]
+struct Stripe {
+    current: Option<Generation>,
+    previous: Option<Generation>,
+}
+
+impl Stripe {
+    /// Replaces `out` with the matching memoized under `key`; false if
+    /// none. A hit in the previous generation is copied into the current
+    /// one.
+    fn get(&mut self, key: u64, out: &mut Vec<Match>, budget: Budget) -> bool {
+        out.clear();
+        if self.current.as_ref().is_some_and(|g| g.get(key, out)) {
+            return true;
+        }
+        if !self.previous.as_ref().is_some_and(|g| g.get(key, out)) {
+            return false;
+        }
+        // `out` is a copy, so a rotation that empties the previous
+        // generation cannot lose it.
+        self.insert(key, out, budget);
+        true
+    }
+
+    /// Memoizes `matched` under `key`, rotating the generations when the
+    /// current one is full.
+    fn insert(&mut self, key: u64, matched: &[Match], budget: Budget) {
+        if matched.len() > budget.matches {
+            return;
+        }
+        let current = self
+            .current
+            .get_or_insert_with(|| Generation::reserve(budget));
+        if current.push(key, matched, budget) {
+            return;
+        }
+        let mut fresh = self
+            .previous
+            .take()
+            .unwrap_or_else(|| Generation::reserve(budget));
+        fresh.clear();
+        fresh.push(key, matched, budget);
+        self.previous = self.current.replace(fresh);
+    }
+}
 
 /// Cross-query memo of per-table-pair column matchings keyed by the
 /// `(table id, table id)` pair in visit order (see the module docs for
-/// the exactness argument). Shared by reference through
+/// the exactness argument and the layout). Shared by reference through
 /// [`crate::mapper::ColumnMapper::pair_memo`].
 #[derive(Debug)]
 pub struct PairMemo {
@@ -132,53 +271,29 @@ pub struct PairMemo {
     /// matchings depend on; a mismatching mapper bypasses the memo.
     min_sim_bits: u64,
     mix_bits: u64,
-    stripes: Vec<Mutex<HashMap<(u32, u32), Matched>>>,
-    /// The engine-wide memo behind a request-scoped one: consulted after
-    /// this memo's own entries and sent every matching computed here.
-    parent: Option<Arc<PairMemo>>,
-    /// Lookups answered by this memo's own entries (not its parent's).
-    own_hits: AtomicU64,
+    budget: Budget,
+    stripes: Vec<Mutex<Stripe>>,
 }
 
 impl PairMemo {
     /// An empty memo fingerprinted for `cfg`'s similarity parameters.
     pub fn for_config(cfg: &MapperConfig) -> Self {
-        Self::new(
-            cfg.min_column_sim.to_bits(),
-            cfg.content_sim_mix.to_bits(),
-            None,
+        Self::with_budget(
+            cfg,
+            Budget {
+                pairs: GEN_PAIRS,
+                matches: GEN_MATCHES,
+            },
         )
     }
 
-    /// An empty request-scoped memo in front of `parent` (same
-    /// fingerprint). It records every matching it hands out — computed,
-    /// or replayed from the parent — so a later map in the same request
-    /// replays them whatever the parent kept; see the module docs.
-    pub fn scoped(parent: &Arc<PairMemo>) -> Self {
-        Self::new(
-            parent.min_sim_bits,
-            parent.mix_bits,
-            Some(Arc::clone(parent)),
-        )
-    }
-
-    fn new(min_sim_bits: u64, mix_bits: u64, parent: Option<Arc<PairMemo>>) -> Self {
+    fn with_budget(cfg: &MapperConfig, budget: Budget) -> Self {
         PairMemo {
-            min_sim_bits,
-            mix_bits,
-            stripes: (0..MEMO_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            parent,
-            own_hits: AtomicU64::new(0),
+            min_sim_bits: cfg.min_column_sim.to_bits(),
+            mix_bits: cfg.content_sim_mix.to_bits(),
+            budget,
+            stripes: (0..MEMO_STRIPES).map(|_| Mutex::default()).collect(),
         }
-    }
-
-    /// Lookups answered by this memo's own entries rather than its
-    /// parent's. For a request-scoped memo after the final map: the pairs
-    /// replayed from the premap.
-    pub fn own_hits(&self) -> u64 {
-        self.own_hits.load(Ordering::Relaxed)
     }
 
     /// Whether cached matchings are valid under `cfg` — true iff the two
@@ -188,49 +303,42 @@ impl PairMemo {
             && self.mix_bits == cfg.content_sim_mix.to_bits()
     }
 
-    /// Number of memoized table pairs (observability).
+    /// Number of memoized table pairs (observability). A pair promoted
+    /// out of the previous generation counts once.
     pub fn entries(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.lock().expect("pair memo stripe poisoned").len())
+            .map(|s| {
+                let s = s.lock().expect("pair memo stripe poisoned");
+                let current = s.current.as_ref().map_or(0, |g| g.index.len());
+                let previous = s.previous.as_ref().map_or(0, |p| {
+                    p.index
+                        .keys()
+                        .filter(|k| !s.current.as_ref().is_some_and(|c| c.index.contains_key(k)))
+                        .count()
+                });
+                current + previous
+            })
             .sum()
     }
 
-    fn stripe(&self, key: (u32, u32)) -> &Mutex<HashMap<(u32, u32), Matched>> {
-        let h = (key.0 as u64)
+    fn stripe(&self, key: u64) -> MutexGuard<'_, Stripe> {
+        let h = (key >> 32)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(key.1 as u64);
-        &self.stripes[(h >> 32) as usize % MEMO_STRIPES]
-    }
-
-    fn get(&self, key: (u32, u32)) -> Option<Matched> {
-        let own = self
-            .stripe(key)
+            .wrapping_add(key & 0xFFFF_FFFF);
+        self.stripes[(h >> 32) as usize % MEMO_STRIPES]
             .lock()
             .expect("pair memo stripe poisoned")
-            .get(&key)
-            .cloned();
-        if own.is_some() {
-            self.own_hits.fetch_add(1, Ordering::Relaxed);
-            return own;
-        }
-        let hit = self.parent.as_ref()?.get(key)?;
-        self.insert_own(key, Arc::clone(&hit));
-        Some(hit)
     }
 
-    fn insert(&self, key: (u32, u32), matched: Matched) {
-        if let Some(parent) = &self.parent {
-            parent.insert(key, Arc::clone(&matched));
-        }
-        self.insert_own(key, matched);
+    /// Replaces `out` with the matching memoized for the table pair
+    /// `key`; false if none.
+    fn get(&self, key: u64, out: &mut Vec<Match>) -> bool {
+        self.stripe(key).get(key, out, self.budget)
     }
 
-    fn insert_own(&self, key: (u32, u32), matched: Matched) {
-        let mut map = self.stripe(key).lock().expect("pair memo stripe poisoned");
-        if map.len() < MEMO_STRIPE_CAP {
-            map.insert(key, matched);
-        }
+    fn insert(&self, key: u64, matched: &[Match]) {
+        self.stripe(key).insert(key, matched, self.budget);
     }
 }
 
@@ -397,18 +505,23 @@ pub fn build_edges_with(
     let mut admit: Option<Option<AdmitIndex>> = None;
     let mut stats = EdgeStats::default();
     let mut raw: Vec<((usize, usize), (usize, usize), f64)> = Vec::new();
+    // One matching on its way into or out of the memo.
+    let mut memoized: Vec<Match> = Vec::new();
     for i in 0..views.len() {
         if let Some(check) = cancel {
             check()?;
         }
         for j in (i + 1)..views.len() {
             let (na, nb) = (views[i].n_cols(), views[j].n_cols());
-            let key = (views[i].table.id.0, views[j].table.id.0);
+            // Pairs of a table too wide for the memo's one-byte column
+            // ids are always recomputed.
+            let memo = memo.filter(|_| na.max(nb) <= MEMO_MAX_COLS);
+            let key = u64::from(views[i].table.id.0) << 32 | u64::from(views[j].table.id.0);
             if let Some(m) = memo {
-                if let Some(hit) = m.get(key) {
+                if m.get(key, &mut memoized) {
                     stats.pairs_memoized += (na * nb) as u64;
-                    for &(ca, cb, sim) in hit.iter() {
-                        raw.push(((i, ca as usize), (j, cb as usize), sim));
+                    for &(ca, cb, sim) in &memoized {
+                        raw.push(((i, ca.into()), (j, cb.into()), sim));
                     }
                     continue;
                 }
@@ -420,21 +533,19 @@ pub fn build_edges_with(
                 // exactly zero, no edges possible.
                 stats.pairs_skipped += (na * nb) as u64;
                 if let Some(m) = memo {
-                    m.insert(key, Matched::default());
+                    m.insert(key, &[]);
                 }
                 continue;
             }
             let matched = match_columns(&views[i], &views[j], cfg, mask, &mut stats);
             if let Some(m) = memo {
-                m.insert(
-                    key,
-                    Arc::new(
-                        matched
-                            .iter()
-                            .map(|&(ca, cb, sim)| (ca as u32, cb as u32, sim))
-                            .collect(),
-                    ),
+                memoized.clear();
+                memoized.extend(
+                    matched
+                        .iter()
+                        .map(|&(ca, cb, sim)| (ca as u8, cb as u8, sim)),
                 );
+                m.insert(key, &memoized);
             }
             for (ca, cb, sim) in matched {
                 raw.push(((i, ca), (j, cb), sim));
@@ -555,6 +666,7 @@ fn flow_matching(sims: &[f64], na: usize, nb: usize) -> Vec<(usize, usize, f64)>
 mod tests {
     use super::*;
     use crate::view::TableFeatures;
+    use std::sync::Arc;
     use wwt_model::{TableId, WebTable};
     use wwt_text::CorpusStats;
 
@@ -940,12 +1052,13 @@ mod tests {
     }
 
     /// A table with `n` columns whose column `k` holds `col{k}-a`,
-    /// `col{k}-b` — except column 65, which repeats table 0's countries.
-    fn wide_table(id: u32, n: usize) -> WebTable {
+    /// `col{k}-b` — except column `countries`, which repeats table 0's
+    /// countries.
+    fn wide_table(id: u32, n: usize, countries: usize) -> WebTable {
         let headers: Vec<String> = (0..n).map(|k| format!("h{k}")).collect();
         let cols: Vec<Vec<String>> = (0..n)
             .map(|k| match k {
-                65 => vec!["India".into(), "Japan".into()],
+                _ if k == countries => vec!["India".into(), "Japan".into()],
                 _ => vec![format!("col{k}-a"), format!("col{k}-b")],
             })
             .collect();
@@ -962,7 +1075,7 @@ mod tests {
     fn bitmask_index_admits_exactly_the_pairs_sharing_a_signature() {
         let stats = CorpusStats::new();
         let mut tables = mixed_tables();
-        tables.push(wide_table(4, 70));
+        tables.push(wide_table(4, 70, 65));
         let mut feats: Vec<TableFeatures> = tables
             .iter()
             .map(|t| TableFeatures::compute(t, &stats, 0.3))
@@ -1024,11 +1137,22 @@ mod tests {
         }
     }
 
+    /// Asserts two edge lists are bit-for-bit the same.
+    fn assert_same_edges(got: &[ColumnEdge], want: &[ColumnEdge], context: &str) {
+        assert_eq!(got.len(), want.len(), "{context}");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!((a.a, a.b), (b.a, b.b), "{context}");
+            assert_eq!(a.sim.to_bits(), b.sim.to_bits(), "{context}");
+            assert_eq!(a.nsim_ab.to_bits(), b.nsim_ab.to_bits(), "{context}");
+            assert_eq!(a.nsim_ba.to_bits(), b.nsim_ba.to_bits(), "{context}");
+        }
+    }
+
     #[test]
-    fn pair_counters_cover_every_visited_cell_with_and_without_a_carry() {
+    fn pair_counters_cover_every_visited_cell_across_premap_and_final_map() {
         let stats = CorpusStats::new();
         let mut tables = mixed_tables();
-        tables.push(wide_table(4, 70));
+        tables.push(wide_table(4, 70, 65));
         let views: Vec<TableView<'_>> = tables
             .iter()
             .map(|t| TableView::new(t, &stats, 0.3))
@@ -1048,29 +1172,234 @@ mod tests {
         assert_eq!(plain.pairs_memoized, 0);
 
         // Two requests over one engine-wide memo, each mapping its first
-        // three tables (premap) and then all five (final map) through a
-        // request-scoped memo. The final map replays the premap's three
-        // pairs from the carry whether the parent knew them or not.
-        let parent = Arc::new(PairMemo::for_config(&cfg()));
+        // three tables (premap) and then all five (final map). The final
+        // map replays the premap's three pairs from the memo.
+        let memo = PairMemo::for_config(&cfg());
         for request in 0..2 {
-            let carry = PairMemo::scoped(&parent);
-            let (_, pre) = build_edges_with(&views[..3], &cfg(), None, Some(&carry)).unwrap();
+            let (_, pre) = build_edges_with(&views[..3], &cfg(), None, Some(&memo)).unwrap();
             assert_eq!(total(&pre), cells(3), "request {request}");
-            let from_parent = if request == 0 { 0 } else { cells(3) };
-            assert_eq!(pre.pairs_memoized, from_parent, "request {request}");
-            assert_eq!(carry.own_hits(), 0, "request {request}");
-            let (edges, fin) = build_edges_with(&views, &cfg(), None, Some(&carry)).unwrap();
+            let replayed = if request == 0 { 0 } else { cells(3) };
+            assert_eq!(pre.pairs_memoized, replayed, "request {request}");
+            let (edges, fin) = build_edges_with(&views, &cfg(), None, Some(&memo)).unwrap();
             assert_eq!(total(&fin), cells(5), "request {request}");
-            assert_eq!(carry.own_hits(), 3, "request {request}");
-            let from_parent = if request == 0 { cells(3) } else { cells(5) };
-            assert_eq!(fin.pairs_memoized, from_parent, "request {request}");
-            assert_eq!(edges.len(), reference.len());
-            for (a, b) in edges.iter().zip(&reference) {
-                assert_eq!((a.a, a.b), (b.a, b.b));
-                assert_eq!(a.nsim_ab.to_bits(), b.nsim_ab.to_bits());
-                assert_eq!(a.nsim_ba.to_bits(), b.nsim_ba.to_bits());
+            let replayed = if request == 0 { cells(3) } else { cells(5) };
+            assert_eq!(fin.pairs_memoized, replayed, "request {request}");
+            assert_same_edges(&edges, &reference, &format!("request {request}"));
+        }
+        assert_eq!(memo.entries(), 10, "every pair is memoized");
+    }
+
+    #[test]
+    fn pair_memo_keeps_learning_past_the_old_cap() {
+        // 400 one-column tables in 7 groups sharing a value and a header:
+        // 79 800 pairs, past the 65 536 a memo once stopped learning at.
+        let stats = CorpusStats::new();
+        let cells: Vec<(String, String)> = (0..400)
+            .map(|t| (format!("h{}", t % 7), format!("v{}", t % 7)))
+            .collect();
+        let tables: Vec<WebTable> = cells
+            .iter()
+            .enumerate()
+            .map(|(t, (h, v))| make(t as u32, vec![h], vec![vec![v.as_str()]]))
+            .collect();
+        let views: Vec<TableView<'_>> = tables
+            .iter()
+            .map(|t| TableView::new(t, &stats, 0.3))
+            .collect();
+        let pairs: u64 = 400 * 399 / 2;
+        let memo = PairMemo::for_config(&cfg());
+        let (first, cold) = build_edges_with(&views, &cfg(), None, Some(&memo)).unwrap();
+        assert_eq!(cold.pairs_scored + cold.pairs_skipped, pairs);
+        assert!(cold.pairs_scored > 0 && cold.pairs_skipped > 0, "{cold:?}");
+        assert_eq!(memo.entries(), pairs as usize);
+        let (second, warm) = build_edges_with(&views, &cfg(), None, Some(&memo)).unwrap();
+        assert_eq!(warm.pairs_scored, 0, "{warm:?}");
+        assert_eq!(warm.pairs_skipped, 0, "{warm:?}");
+        assert_eq!(warm.pairs_memoized, pairs);
+        assert!(!first.is_empty());
+        assert_same_edges(&second, &first, "second visit");
+    }
+
+    /// A seeded table pool with overlapping values and headers, so pairs
+    /// match zero to several columns.
+    fn seeded_tables(n: u32, state: &mut u64) -> Vec<WebTable> {
+        let mut next = |k: u64| splitmix(state) % k;
+        (0..n)
+            .map(|id| {
+                let n_cols = 1 + next(4) as usize;
+                let headers: Vec<String> = (0..n_cols).map(|_| format!("h{}", next(5))).collect();
+                let cols: Vec<Vec<String>> = (0..n_cols)
+                    .map(|_| {
+                        let domain = next(4);
+                        (0..3).map(|_| format!("d{domain}-{}", next(6))).collect()
+                    })
+                    .collect();
+                make(
+                    id,
+                    headers.iter().map(String::as_str).collect(),
+                    cols.iter()
+                        .map(|c| c.iter().map(String::as_str).collect())
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pair_memo_eviction_is_exact() {
+        // A stripe keeps the current generation, falls back to the
+        // previous one, promotes its hits, and forgets the generation
+        // before that.
+        let budget = Budget {
+            pairs: 1,
+            matches: 4,
+        };
+        let mut stripe = Stripe::default();
+        let mut out = Vec::new();
+        stripe.insert(1, &[(0, 1, 0.5)], budget);
+        stripe.insert(2, &[(1, 0, 0.25), (2, 2, 0.75)], budget);
+        assert!(stripe.get(1, &mut out, budget), "previous generation hit");
+        assert_eq!(out, [(0, 1, 0.5)]);
+        stripe.insert(3, &[], budget);
+        assert!(!stripe.get(2, &mut out, budget), "two rotations evict");
+        assert!(
+            stripe.get(1, &mut out, budget),
+            "the promoted pair survives"
+        );
+        assert_eq!(out, [(0, 1, 0.5)]);
+        assert!(stripe.get(3, &mut out, budget) && out.is_empty());
+        stripe.insert(4, &[(0, 0, 1.0); 5], budget);
+        assert!(!stripe.get(4, &mut out, budget), "a matching over budget");
+
+        // Through edge construction: a memo of one pair per generation
+        // rotates all the time, and every build stays bit-identical to a
+        // memo-free one.
+        let stats = CorpusStats::new();
+        let mut state = 0x5EED_E71C_u64;
+        let tables = seeded_tables(14, &mut state);
+        let memo = PairMemo::with_budget(&cfg(), budget);
+        let (mut memoized, mut recomputed, mut edges_seen) = (0, 0, 0);
+        for round in 0..60 {
+            let mut order: Vec<usize> = (0..tables.len()).collect();
+            for k in (1..order.len()).rev() {
+                order.swap(k, (splitmix(&mut state) % (k as u64 + 1)) as usize);
+            }
+            order.truncate(2 + (splitmix(&mut state) % 11) as usize);
+            let views: Vec<TableView<'_>> = order
+                .iter()
+                .map(|&t| TableView::new(&tables[t], &stats, 0.3))
+                .collect();
+            let (fresh, _) = build_edges_with(&views, &cfg(), None, None).unwrap();
+            let (edges, s) = build_edges_with(&views, &cfg(), None, Some(&memo)).unwrap();
+            assert_same_edges(&edges, &fresh, &format!("round {round} {order:?}"));
+            edges_seen += fresh.len();
+            memoized += s.pairs_memoized;
+            if round > 0 {
+                recomputed += s.pairs_scored + s.pairs_skipped;
+            }
+            assert!(memo.entries() <= 2 * MEMO_STRIPES, "round {round}");
+        }
+        assert!(edges_seen > 60, "{edges_seen} edges over 60 rounds");
+        assert!(memoized > 0, "the memo never replayed");
+        assert!(recomputed > 0, "the memo never evicted");
+        assert!(!memo
+            .stripes
+            .iter()
+            .all(|s| s.lock().unwrap().previous.is_none()));
+    }
+
+    /// Bytes one generation reserves for a table of capacity `pairs` and
+    /// arenas of `matches` entries. The standard `HashMap` gives a table
+    /// of capacity `pairs` `pairs · 8/7` buckets, rounded up to a power of
+    /// two; a bucket is one 16-byte slot and one control byte.
+    fn generation_bytes(pairs: usize, matches: usize) -> usize {
+        let buckets = (pairs * 8 / 7).next_power_of_two();
+        buckets * (size_of::<(u64, u64)>() + 1)
+            + matches * (size_of::<[u8; 2]>() + size_of::<f64>())
+    }
+
+    /// Bytes the memo's allocated generations reserve, read from their
+    /// capacities.
+    fn reserved_bytes(memo: &PairMemo) -> usize {
+        let mut bytes = 0;
+        for stripe in &memo.stripes {
+            let stripe = stripe.lock().unwrap();
+            for g in stripe.current.iter().chain(&stripe.previous) {
+                assert_eq!(g.cols.capacity(), g.sims.capacity());
+                bytes += generation_bytes(g.index.capacity(), g.cols.capacity());
             }
         }
-        assert_eq!(parent.entries(), 10, "every pair reached the parent");
+        bytes
+    }
+
+    #[test]
+    fn pair_memo_reserved_bytes_stay_under_the_documented_bound() {
+        // The figures the module docs state.
+        assert_eq!(generation_bytes(GEN_PAIRS, GEN_MATCHES), 1_130_496);
+        let bound = MEMO_STRIPES * 2 * generation_bytes(GEN_PAIRS, GEN_MATCHES);
+        assert_eq!(bound, 36_175_872);
+
+        // Matches per pair drawn from the cold working set's shares (0 to
+        // 5 matches, cumulative per mille), until every stripe has rotated.
+        let cumulative = [105, 225, 598, 944, 995, 1000];
+        let memo = PairMemo::for_config(&cfg());
+        assert_eq!(reserved_bytes(&memo), 0, "nothing is reserved up front");
+        let mut state = 0xB0_0D_u64;
+        let mut matched = Vec::new();
+        for n in 0u64.. {
+            let draw = splitmix(&mut state) % 1000;
+            let len = cumulative.iter().position(|&c| draw < c).unwrap();
+            matched.clear();
+            matched.extend((0..len as u8).map(|c| (c, c, 0.5)));
+            memo.insert(splitmix(&mut state), &matched);
+            if n % 4096 == 0 {
+                let reserved = reserved_bytes(&memo);
+                assert!(reserved <= bound, "{reserved} > {bound} after {n} inserts");
+                let rotated = memo.stripes.iter().all(|s| {
+                    let s = s.lock().unwrap();
+                    s.previous
+                        .as_ref()
+                        .is_some_and(|p| p.index.len() > GEN_PAIRS / 2)
+                        && s.current
+                            .as_ref()
+                            .is_some_and(|c| c.index.len() > GEN_PAIRS / 2)
+                });
+                if rotated {
+                    assert_eq!(reserved, bound, "both generations of every stripe");
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_of_tables_too_wide_for_the_memo_are_recomputed_exactly() {
+        let stats = CorpusStats::new();
+        let mut tables = mixed_tables();
+        // Column 270 needs more than a byte; it matches table 0's
+        // countries, so a truncated id would land on the wrong column.
+        tables.push(wide_table(4, 300, 270));
+        let views: Vec<TableView<'_>> = tables
+            .iter()
+            .map(|t| TableView::new(t, &stats, 0.3))
+            .collect();
+        let (reference, _) = build_edges_with(&views, &cfg(), None, None).unwrap();
+        assert!(reference.iter().any(|e| e.a == (0, 0) && e.b == (4, 270)));
+        let narrow_cells = (2 * 2 + 2 + 2 * 2 + 2 + 2 * 2 + 2) as u64;
+        let wide_cells = 300 * (2 + 2 + 1 + 2);
+        let memo = PairMemo::for_config(&cfg());
+        for visit in 0..3 {
+            let (edges, s) = build_edges_with(&views, &cfg(), None, Some(&memo)).unwrap();
+            assert_same_edges(&edges, &reference, &format!("visit {visit}"));
+            if visit > 0 {
+                assert_eq!(s.pairs_memoized, narrow_cells, "visit {visit}");
+                assert_eq!(
+                    s.pairs_scored + s.pairs_skipped,
+                    wide_cells,
+                    "visit {visit}"
+                );
+            }
+        }
+        assert_eq!(memo.entries(), 6, "only the narrow pairs are memoized");
     }
 }

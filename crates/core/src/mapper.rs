@@ -24,8 +24,9 @@ pub struct MapStats {
     /// Column pairs skipped by the content-signature index (similarity
     /// provably zero).
     pub edge_pairs_skipped: u64,
-    /// Column pairs replayed from the engine's cross-query pair memo, or
-    /// carried from the same request's premap.
+    /// Column pairs replayed from the engine's cross-query pair memo,
+    /// including the final map's replays of the pairs its own request's
+    /// premap just matched.
     pub edge_pairs_memoized: u64,
     /// Tables whose relevant upper bound could not beat all-`nr` (the
     /// always-on exact solver early exit fires for these under
@@ -113,9 +114,9 @@ pub struct ColumnMapper {
     /// Inference algorithm to run.
     pub algorithm: InferenceAlgorithm,
     /// Optional cross-query memo of per-table-pair column matchings
-    /// (see [`PairMemo`]); typically a request-scoped memo in front of
-    /// the owning engine's, which all of its queries share. A memo
-    /// fingerprinted for different similarity parameters is ignored.
+    /// (see [`PairMemo`]); typically the owning engine's, which all of
+    /// its queries share. A memo fingerprinted for different similarity
+    /// parameters is ignored.
     pub pair_memo: Option<std::sync::Arc<PairMemo>>,
 }
 

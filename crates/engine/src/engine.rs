@@ -283,7 +283,6 @@ impl Engine {
             &Deadline::none(),
             &Trace::disabled(),
             &FailSoft::off(),
-            &self.pair_memo,
         )
         .map(|(retrieval, _)| retrieval)
         .expect("retrieval without a deadline cannot time out")
@@ -428,9 +427,7 @@ impl Engine {
     /// Retrieval plus the stage-1 pre-mapping it computed along the way
     /// (reusable as the final mapping when the second probe adds
     /// nothing). Fails only when `deadline` expires at the boundary
-    /// between the first and second probe. The pre-mapping's table-pair
-    /// matchings go through `memo`.
-    #[allow(clippy::too_many_arguments)]
+    /// between the first and second probe.
     fn retrieve_with(
         &self,
         query: &Query,
@@ -438,7 +435,6 @@ impl Engine {
         deadline: &Deadline,
         trace: &Trace,
         soft: &FailSoft,
-        memo: &Arc<PairMemo>,
     ) -> Result<(Retrieval, MappingResult), WwtError> {
         let mut timing = StageTimings::default();
 
@@ -488,7 +484,7 @@ impl Engine {
         let mapper = ColumnMapper {
             config: cfg.mapper.clone(),
             algorithm: cfg.algorithm,
-            pair_memo: Some(Arc::clone(memo)),
+            pair_memo: Some(Arc::clone(&self.pair_memo)),
         };
         let pre = match self.map_traced(
             &mapper,
@@ -713,11 +709,7 @@ impl Engine {
         deadline: &Deadline,
         soft: &FailSoft,
     ) -> Result<QueryResponse, WwtError> {
-        // The final map revisits every stage-1 table pair the premap just
-        // matched: a request-scoped memo carries those matchings forward
-        // even when the engine-wide memo is full.
-        let memo = Arc::new(PairMemo::scoped(&self.pair_memo));
-        let (retrieval, premap) = self.retrieve_with(query, cfg, deadline, trace, soft, &memo)?;
+        let (retrieval, premap) = self.retrieve_with(query, cfg, deadline, trace, soft)?;
         let mut timing = retrieval.timing.clone();
         let mut candidates = retrieval.candidates();
 
@@ -772,17 +764,11 @@ impl Engine {
             let mapper = ColumnMapper {
                 config: cfg.mapper.clone(),
                 algorithm,
-                pair_memo: Some(Arc::clone(&memo)),
+                pair_memo: Some(Arc::clone(&self.pair_memo)),
             };
             match self.map_traced(&mapper, query, &tables, trace, deadline, "column_map") {
                 Ok(mapping) => {
                     timing.column_map += t0.elapsed();
-                    if trace.is_enabled() {
-                        trace.note(
-                            "column_map",
-                            format!("carried {} premap pairs", memo.own_hits()),
-                        );
-                    }
                     mapping
                 }
                 Err(e) if soft.is_on() => {
@@ -801,11 +787,6 @@ impl Engine {
                 Err(e) => return Err(e),
             }
         };
-        // Free the carried matchings before the response is built, so the
-        // cached response reuses their memory instead of being allocated
-        // around them: a response scattered that way made every later
-        // cache hit that encodes it ~15 % slower (`hot_repeat`).
-        drop(memo);
         // Diagnostics counters cover every mapper run this request made:
         // the final map plus the premap when the latter wasn't reused
         // (reuse — including the fail-soft fallback onto the premap —

@@ -27,8 +27,6 @@ pub mod deadline;
 pub mod engine;
 pub mod evaluate;
 pub mod pipeline;
-#[cfg(test)]
-mod pool;
 pub mod request;
 pub mod retrieval;
 pub mod soft;
@@ -46,6 +44,27 @@ pub use request::{QueryDiagnostics, QueryOptions, QueryRequest, QueryResponse};
 pub use retrieval::Retrieval;
 pub use soft::FailSoft;
 pub use timing::StageTimings;
+// The indexed fan-out the probe scatter, the evaluation harness and the
+// service layer's `answer_batch` go through.
 pub use wwt_pool::{fan_out, try_fan_out};
 // Re-exported so `answer_traced` callers need no direct wwt-obs dep.
 pub use wwt_obs::{Trace, TraceReport};
+
+#[cfg(test)]
+mod tests {
+    use crate::fan_out;
+
+    #[test]
+    fn preserves_order_across_thread_counts() {
+        let expected: Vec<usize> = (0..57).map(|i| i * i).collect();
+        for threads in [1, 2, 4, 16] {
+            assert_eq!(fan_out(57, threads, |i| i * i), expected);
+        }
+    }
+
+    #[test]
+    fn empty_and_single_item() {
+        assert_eq!(fan_out(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(fan_out(1, 4, |i| i + 1), vec![1]);
+    }
+}

@@ -49,7 +49,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
-use wwt_obs::{write_header, write_prometheus, Histogram, Kind, Stage, StageHistograms};
+use wwt_obs::{write_header, write_prometheus, Histogram, Kind, Scalar, Stage, StageHistograms};
 use wwt_service::ServiceStats;
 
 /// Request-latency histogram bucket upper bounds, in microseconds
@@ -97,6 +97,26 @@ pub enum Route {
 }
 
 impl Route {
+    /// Every route, in declaration (and so label-sort) order.
+    const ALL: [Route; 16] = [
+        Route::Query,
+        Route::QueryBatch,
+        Route::Healthz,
+        Route::Stats,
+        Route::Metrics,
+        Route::Version,
+        Route::Shutdown,
+        Route::Reload,
+        Route::Recover,
+        Route::TablesIngest,
+        Route::TablesBatch,
+        Route::TableDelete,
+        Route::Compact,
+        Route::DebugSlowQueries,
+        Route::DebugTrace,
+        Route::Other,
+    ];
+
     fn label(self) -> &'static str {
         match self {
             Route::Query => "query",
@@ -118,6 +138,10 @@ impl Route {
         }
     }
 }
+
+/// The status codes the server answers with, each counted per route in a
+/// lock-free cell; any other status goes to a locked map.
+const STATUSES: [u16; 12] = [200, 202, 400, 404, 405, 408, 409, 413, 429, 500, 503, 504];
 
 wwt_obs::series! {
     /// The HTTP layer's own scalar series (the service's are
@@ -147,8 +171,11 @@ pub struct Metrics {
     /// End-to-end request handling latency; its count is the total of
     /// requests answered (any route, any status).
     latency: Histogram<{ LATENCY_BUCKETS_US.len() }>,
-    /// Requests by `(route, status)` label pair.
-    by_route_status: Mutex<BTreeMap<(Route, u16), u64>>,
+    /// Requests by `(route, status)` label pair for the statuses in
+    /// [`STATUSES`], one relaxed cell each, so no request takes a lock.
+    by_route_status: [[Scalar; STATUSES.len()]; Route::ALL.len()],
+    /// Requests by `(route, status)` for any other status.
+    by_route_rare_status: Mutex<BTreeMap<(Route, u16), u64>>,
     counters: ServerCells,
     /// Per-pipeline-stage duration histograms
     /// (`wwt_stage_duration_us{stage=…}`), fed from each answered
@@ -162,7 +189,8 @@ impl Default for Metrics {
     fn default() -> Self {
         Metrics {
             latency: Histogram::new(&LATENCY_BUCKETS_US, 1e6),
-            by_route_status: Mutex::default(),
+            by_route_status: Default::default(),
+            by_route_rare_status: Mutex::default(),
             counters: ServerCells::default(),
             stage: StageHistograms::new(),
         }
@@ -178,12 +206,17 @@ impl Metrics {
     /// Records one handled request.
     pub fn observe(&self, route: Route, status: u16, elapsed: Duration) {
         self.latency.observe(elapsed.as_micros() as u64);
-        *self
-            .by_route_status
-            .lock()
-            .unwrap()
-            .entry((route, status))
-            .or_insert(0) += 1;
+        match STATUSES.iter().position(|&s| s == status) {
+            Some(cell) => self.by_route_status[route as usize][cell].inc(),
+            None => {
+                *self
+                    .by_route_rare_status
+                    .lock()
+                    .expect("status map poisoned")
+                    .entry((route, status))
+                    .or_insert(0) += 1
+            }
+        }
     }
 
     /// Marks a request as entering dispatch (pair with
@@ -244,7 +277,19 @@ impl Metrics {
             Kind::Counter,
             "HTTP requests served, by route and status code.",
         );
-        let by_route = self.by_route_status.lock().unwrap().clone();
+        let mut by_route = self
+            .by_route_rare_status
+            .lock()
+            .expect("status map poisoned")
+            .clone();
+        for (route, cells) in Route::ALL.into_iter().zip(&self.by_route_status) {
+            for (&status, cell) in STATUSES.iter().zip(cells) {
+                let count = cell.get();
+                if count > 0 {
+                    by_route.insert((route, status), count);
+                }
+            }
+        }
         for ((route, status), count) in &by_route {
             out.push_str(&format!(
                 "wwt_http_requests_total{{route=\"{}\",code=\"{status}\"}} {count}\n",
@@ -294,6 +339,39 @@ mod tests {
         assert!(text.contains("wwt_http_request_duration_seconds_bucket{le=\"+Inf\"} 4\n"));
         assert!(text.contains("wwt_http_request_duration_seconds_count 4\n"));
         assert!(text.contains("wwt_http_request_duration_seconds_sum 9.03085\n"));
+    }
+
+    #[test]
+    fn route_status_counts_render_in_label_order_with_rare_statuses() {
+        for (i, route) in Route::ALL.into_iter().enumerate() {
+            assert_eq!(route as usize, i, "{route:?}");
+        }
+        let m = Metrics::new();
+        for (route, status) in [
+            (Route::Other, 431),
+            (Route::Query, 504),
+            (Route::Query, 299),
+            (Route::Healthz, 200),
+            (Route::Query, 200),
+            (Route::Query, 504),
+        ] {
+            m.observe(route, status, Duration::from_micros(10));
+        }
+        let text = render(&m);
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("wwt_http_requests_total{"))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "wwt_http_requests_total{route=\"query\",code=\"200\"} 1",
+                "wwt_http_requests_total{route=\"query\",code=\"299\"} 1",
+                "wwt_http_requests_total{route=\"query\",code=\"504\"} 2",
+                "wwt_http_requests_total{route=\"healthz\",code=\"200\"} 1",
+                "wwt_http_requests_total{route=\"other\",code=\"431\"} 1",
+            ]
+        );
     }
 
     #[test]

@@ -345,12 +345,14 @@
 //!   `(col, col, sim)` lists keyed by table-id pair and replays them on
 //!   later queries that retrieve the same pair, which is bit-identical
 //!   to recomputation. Live mutations swap in a fresh memo because
-//!   ingest can rebind a table id to new content. The engine-wide memo
-//!   stops learning once full, so each request also maps through a
-//!   request-scoped memo in front of it: when the second probe adds
-//!   tables, the final map replays every stage-1 pair the premap
-//!   matched (counted as memoized; explain traces note
-//!   `"column_map": "carried N premap pairs"`).
+//!   ingest can rebind a table id to new content. The memo stores a
+//!   pair as a slot in a flat table over byte-wide column-id and `f64`
+//!   arenas, and evicts in two generations per lock stripe instead of
+//!   refusing to learn once full. One generation holds the scale-10
+//!   cold working set; the memo never reserves more than ≈ 36.2 MB.
+//!   When the second probe adds tables, the final map replays every
+//!   stage-1 pair the premap just matched from the same memo (counted
+//!   as memoized).
 //!
 //! Mapper counters surface as `"map_edge_pairs_scored"` /
 //! `"map_edge_pairs_skipped"` / `"map_edge_pairs_memoized"` /

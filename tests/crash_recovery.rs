@@ -12,29 +12,10 @@
 mod support;
 
 use std::path::PathBuf;
-use support::{canonical_bytes, corpus, ALGORITHMS};
-use wwt::corpus::GeneratedCorpus;
-use wwt::engine::{bind_corpus_sharded, Engine, EngineBuilder, QueryRequest, WwtConfig};
+use support::{canonical_bytes, corpus, extracted_tables, from_scratch, ALGORITHMS};
+use wwt::engine::{Engine, EngineBuilder, QueryRequest, WwtConfig};
 use wwt::index::{table_to_json, FsyncPolicy, Journal, JournalRecord};
 use wwt::model::{TableId, WebTable};
-
-const SHARDS: usize = 3;
-
-fn extracted_tables(generated: &GeneratedCorpus) -> Vec<WebTable> {
-    bind_corpus_sharded(generated, WwtConfig::default(), Some(SHARDS))
-        .engine
-        .store()
-        .iter()
-        .cloned()
-        .collect()
-}
-
-fn from_scratch(tables: Vec<WebTable>) -> Engine {
-    let mut b = EngineBuilder::with_config(WwtConfig::default());
-    b.shards(SHARDS);
-    b.add_tables(tables);
-    b.build()
-}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wwt_crash_{tag}_{}", std::process::id()));

@@ -161,8 +161,8 @@ fn random_option_draws_match_the_oracle() {
     }
 }
 
-/// The final map carries the premap's table-pair matchings through a
-/// request-scoped memo. Whenever the second probe added tables, the
+/// The final map replays the premap's table-pair matchings from the
+/// engine-wide pair memo. Whenever the second probe added tables, the
 /// mapping the engine served must equal a from-scratch, memo-free map of
 /// the same candidates — down to the relevance and probability bits.
 #[test]

@@ -13,33 +13,9 @@
 
 mod support;
 
-use support::{canonical_bytes, corpus, splitmix, ALGORITHMS};
-use wwt::corpus::GeneratedCorpus;
-use wwt::engine::{
-    bind_corpus_sharded, Engine, EngineBuilder, QueryOptions, QueryRequest, WwtConfig,
-};
+use support::{canonical_bytes, corpus, extracted_tables, from_scratch, splitmix, ALGORITHMS};
+use wwt::engine::{Engine, QueryOptions, QueryRequest};
 use wwt::model::WebTable;
-
-const SHARDS: usize = 3;
-
-/// The extracted tables of a generated corpus (id-ascending, as the
-/// store keeps them).
-fn extracted_tables(generated: &GeneratedCorpus) -> Vec<WebTable> {
-    bind_corpus_sharded(generated, WwtConfig::default(), Some(SHARDS))
-        .engine
-        .store()
-        .iter()
-        .cloned()
-        .collect()
-}
-
-/// A frozen engine built from scratch over `tables`.
-fn from_scratch(tables: Vec<WebTable>) -> Engine {
-    let mut b = EngineBuilder::with_config(WwtConfig::default());
-    b.shards(SHARDS);
-    b.add_tables(tables);
-    b.build()
-}
 
 /// Splits tables into (base, delta) halves and grows the base engine
 /// one `with_table_added` at a time — the library-level equivalent of N

@@ -5,8 +5,13 @@
 
 use wwt::core::InferenceAlgorithm;
 use wwt::corpus::{workload, CorpusConfig, CorpusGenerator, GeneratedCorpus};
-use wwt::engine::{Engine, QueryRequest};
+use wwt::engine::{bind_corpus_sharded, Engine, EngineBuilder, QueryRequest, WwtConfig};
+use wwt::model::WebTable;
 use wwt::server::wire::encode_response;
+
+/// Index shards of the engines the live-mutation harnesses
+/// (`live_equivalence`, `crash_recovery`) build.
+const MUTATION_SHARDS: usize = 3;
 
 /// Every inference algorithm, in the order the harnesses sweep them.
 pub const ALGORITHMS: [InferenceAlgorithm; 5] = [
@@ -52,4 +57,23 @@ pub fn canonical_bytes(request: &QueryRequest, engine: &Engine) -> String {
         trace.zero_timings();
     }
     encode_response(request, &response)
+}
+
+/// The extracted tables of a generated corpus (id-ascending, as the
+/// store keeps them).
+pub fn extracted_tables(generated: &GeneratedCorpus) -> Vec<WebTable> {
+    bind_corpus_sharded(generated, WwtConfig::default(), Some(MUTATION_SHARDS))
+        .engine
+        .store()
+        .iter()
+        .cloned()
+        .collect()
+}
+
+/// A frozen engine built from scratch over `tables`.
+pub fn from_scratch(tables: Vec<WebTable>) -> Engine {
+    let mut b = EngineBuilder::with_config(WwtConfig::default());
+    b.shards(MUTATION_SHARDS);
+    b.add_tables(tables);
+    b.build()
 }
