@@ -319,3 +319,153 @@ fn fail_soft_mapping_cut_serves_exactly_the_premap_prefix() {
     }
     assert!(exercised > 0, "no request reached the second probe");
 }
+
+/// The corpus of [`shared_engine`] bound fresh with an explicit shard
+/// count: the pinned values below name shards, and `bind_corpus`
+/// defaults to one shard per core. Each call binds a new engine, so the
+/// doc-set memo a trace reports starts empty.
+fn pinned_engine() -> Engine {
+    static CORPUS: OnceLock<wwt::corpus::GeneratedCorpus> = OnceLock::new();
+    let corpus = CORPUS.get_or_init(|| {
+        let specs: Vec<_> = workload().into_iter().take(3).collect();
+        CorpusGenerator::new(CorpusConfig {
+            scale: 0.04,
+            ..CorpusConfig::default()
+        })
+        .generate_for(&specs)
+    });
+    wwt::engine::bind_corpus_sharded(corpus, WwtConfig::default(), Some(2)).engine
+}
+
+/// An explain trace with timings zeroed and the host-dependent `threads`
+/// detail (the core count) normalized, encoded.
+fn pinned_trace(engine: &Engine, request: &QueryRequest) -> String {
+    let response = engine.answer(&request.clone().explain(true)).unwrap();
+    let mut trace = response.diagnostics.trace.expect("explain traces");
+    trace.zero_timings();
+    for span in &mut trace.spans {
+        for (key, value) in &mut span.detail {
+            if key == "threads" {
+                *value = "N".to_string();
+            }
+        }
+    }
+    trace.to_json().to_string()
+}
+
+/// Exact outputs of the degraded and failing paths, pinned: the explain
+/// trace of a request whose second probe fires and of one whose does
+/// not, the `degraded_reasons` of every fail-soft absorb and stage
+/// boundary, and the typed error (variant and stage) of the hard runs.
+/// The other tests here only check reason substrings.
+#[test]
+fn degraded_reasons_traces_and_errors_are_pinned() {
+    let _guard = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    wwt_chaos::disarm_all();
+    let requests = requests();
+    let (fires, quiet) = (&requests[0], &requests[1]);
+
+    assert_eq!(
+        pinned_trace(&pinned_engine(), fires),
+        concat!(
+            r#"{"request_id":"","total_us":0,"spans":["#,
+            r#"{"name":"probe1","duration_us":0,"detail":{"hits":"3","k":"60"},"children":[{"name":"shard0","duration_us":0},{"name":"shard1","duration_us":0}]},"#,
+            r#"{"name":"read1","duration_us":0,"detail":{"tables":"3"}},"#,
+            r#"{"name":"column_map:premap","duration_us":0,"detail":{"views":"3","threads":"N"},"children":[{"name":"view:1","duration_us":0},{"name":"view:0","duration_us":0},{"name":"view:2","duration_us":0}]},"#,
+            r#"{"name":"probe2","duration_us":0,"detail":{"hits":"12","k":"12"},"children":[{"name":"shard0","duration_us":0},{"name":"shard1","duration_us":0}]},"#,
+            r#"{"name":"column_map","duration_us":0,"detail":{"views":"15","threads":"N"},"children":[{"name":"view:1","duration_us":0},{"name":"view:0","duration_us":0},{"name":"view:2","duration_us":0},{"name":"view:45","duration_us":0},{"name":"view:110","duration_us":0},{"name":"view:124","duration_us":0},{"name":"view:38","duration_us":0},{"name":"view:13","duration_us":0}]},"#,
+            r#"{"name":"consolidate","duration_us":0,"detail":{"relevant_tables":"2"}}],"#,
+            r#""notes":{"probe1_shard_hits":"1,2","probe2_seeds":"2","probe2_shard_hits":"15,15","candidates":"15","docset_cache_entries":"0"}}"#,
+        )
+    );
+    assert_eq!(
+        pinned_trace(&pinned_engine(), quiet),
+        concat!(
+            r#"{"request_id":"","total_us":0,"spans":["#,
+            r#"{"name":"probe1","duration_us":0,"detail":{"hits":"0","k":"60"},"children":[{"name":"shard0","duration_us":0},{"name":"shard1","duration_us":0}]},"#,
+            r#"{"name":"read1","duration_us":0,"detail":{"tables":"0"}},"#,
+            r#"{"name":"column_map:premap","duration_us":0,"detail":{"views":"0","threads":"N"}},"#,
+            r#"{"name":"consolidate","duration_us":0,"detail":{"relevant_tables":"0"}}],"#,
+            r#""notes":{"probe1_shard_hits":"0,0","probe2_seeds":"0","column_map":"reused premap","candidates":"0","docset_cache_entries":"0"}}"#,
+        )
+    );
+
+    let engine = pinned_engine();
+    let soft = fires.clone().fail_soft(true);
+    let budgeted = |fail_soft: bool| fires.clone().deadline_ms(1000).fail_soft(fail_soft);
+    let reasons =
+        |request: &QueryRequest| engine.answer(request).unwrap().diagnostics.degraded_reasons;
+    let error = |request: &QueryRequest| format!("{:?}", engine.answer(request).unwrap_err());
+
+    wwt_chaos::arm("probe.shard=error").unwrap();
+    assert_eq!(
+        reasons(&soft),
+        [
+            "first probe: shard 0 dropped: io error: wwt-chaos: injected fault at probe.shard",
+            "first probe: shard 1 dropped: io error: wwt-chaos: injected fault at probe.shard",
+        ]
+    );
+    assert_eq!(
+        error(fires),
+        r#"Io(Custom { kind: Other, error: "wwt-chaos: injected fault at probe.shard" })"#
+    );
+    wwt_chaos::disarm_all();
+    wwt_chaos::arm("map.batch=error").unwrap();
+    assert_eq!(
+        reasons(&soft),
+        [
+            "column mapping (premap): io error: wwt-chaos: injected fault at map.batch",
+            "column mapping: io error: wwt-chaos: injected fault at map.batch",
+        ]
+    );
+    assert_eq!(
+        error(fires),
+        r#"Io(Custom { kind: Other, error: "wwt-chaos: injected fault at map.batch" })"#
+    );
+    wwt_chaos::disarm_all();
+    assert_eq!(
+        error(&fires.clone().deadline_ms(0)),
+        r#"DeadlineExceeded("retrieval")"#
+    );
+
+    // The second probe's first shard sleeps past the budget: the
+    // deadline mapping cut.
+    let shards = engine.n_shards() as u64;
+    arm_on_hit(wwt_chaos::PROBE_SHARD, "delay:1500", shards);
+    assert_eq!(
+        reasons(&budgeted(true)),
+        [
+            "second probe: shard 1 dropped: deadline exceeded at second probe",
+            "retrieval merge: candidate list truncated (deadline exceeded)",
+            "column mapping: limited to first-probe candidates (deadline exceeded)",
+            "consolidation: ran past the deadline",
+        ]
+    );
+    arm_on_hit(wwt_chaos::PROBE_SHARD, "delay:1500", shards);
+    assert_eq!(
+        error(&budgeted(false)),
+        r#"DeadlineExceeded("second probe")"#
+    );
+    wwt_chaos::disarm_all();
+
+    // The premap's batch sleeps past the budget: every later boundary
+    // trips.
+    wwt_chaos::arm("map.batch=delay:1500*1").unwrap();
+    assert_eq!(
+        reasons(&budgeted(true)),
+        [
+            "column mapping (premap): deadline exceeded at column mapping",
+            "second probe: skipped (deadline exceeded)",
+            "column mapping: limited to first-probe candidates (deadline exceeded)",
+            "column mapping: downgraded to independent inference (deadline pressure)",
+            "column mapping: deadline exceeded at column mapping",
+            "consolidation: ran past the deadline",
+        ]
+    );
+    wwt_chaos::arm("map.batch=delay:1500*1").unwrap();
+    assert_eq!(
+        error(&budgeted(false)),
+        r#"DeadlineExceeded("column mapping")"#
+    );
+    wwt_chaos::disarm_all();
+}
