@@ -6,29 +6,19 @@
 //! operation takes `&self`, so one build can serve queries from many
 //! threads (`Engine: Send + Sync + Clone`, and cloning is cheap).
 
-use crate::deadline::Deadline;
+mod online;
+
+use crate::fan_out;
 use crate::pipeline::WwtConfig;
-use crate::request::{QueryDiagnostics, QueryRequest, QueryResponse};
-use crate::retrieval::Retrieval;
-use crate::soft::FailSoft;
-use crate::timing::StageTimings;
-use crate::{fan_out, try_fan_out};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use wwt_consolidate::{consolidate, RelevantInput};
-use wwt_core::{
-    ColumnMapper, InferenceAlgorithm, MappingResult, PairMemo, TableFeatures, TableView,
-};
+use wwt_core::{PairMemo, TableFeatures};
 use wwt_html::extract_tables;
 use wwt_index::{
-    DocSets, JournalRecord, LiveIndex, LiveOp, SearchHit, ShardedIndex, ShardedIndexBuilder,
-    TableIndex, TableStore,
+    JournalRecord, LiveIndex, LiveOp, ShardedIndex, ShardedIndexBuilder, TableIndex, TableStore,
 };
-use wwt_model::{Query, TableId, WebTable, WwtError};
-use wwt_obs::{SpanRecord, Trace};
-use wwt_text::{tokenize, TermId};
+use wwt_model::{TableId, WebTable, WwtError};
 
 /// Default shard count: one shard per core, capped — beyond a handful of
 /// shards the per-probe fan-out overhead outgrows the win.
@@ -37,17 +27,6 @@ pub fn default_shards() -> usize {
         .map(|n| n.get().min(8))
         .unwrap_or(1)
 }
-
-/// Below this corpus size the scatter-gather runs the shards serially on
-/// the calling thread: spawning workers costs more than probing a tiny
-/// index, and the merged result is identical either way.
-const PARALLEL_PROBE_MIN_DOCS: usize = 4096;
-
-/// How many merge-loop iterations run between deadline checks. Checking
-/// reads the clock, so the loop amortizes it over a batch of cheap
-/// iterations while still bounding how far a giant candidate set can
-/// blow past the budget *inside* a stage.
-const MERGE_DEADLINE_STRIDE: usize = 1024;
 
 /// Offline builder: accumulates documents/tables, then freezes them into
 /// an [`Engine`] (extract → store → index, paper §2.1).
@@ -269,715 +248,9 @@ impl Engine {
     }
 
     /// The engine configuration (per-request overrides are applied on
-    /// top via [`QueryRequest`]).
+    /// top via [`QueryRequest`](crate::QueryRequest)).
     pub fn config(&self) -> &WwtConfig {
         &self.config
-    }
-
-    /// Runs the two-stage candidate retrieval (§2.2.1) with the engine
-    /// configuration.
-    pub fn retrieve(&self, query: &Query) -> Retrieval {
-        self.retrieve_with(
-            query,
-            &self.config,
-            &Deadline::none(),
-            &Trace::disabled(),
-            &FailSoft::off(),
-        )
-        .map(|(retrieval, _)| retrieval)
-        .expect("retrieval without a deadline cannot time out")
-    }
-
-    /// One ranked index probe, scattered across the shards on the engine
-    /// pool and gathered with the equivalence-preserving merge. Query
-    /// tokens are resolved against the global term dictionary **once**
-    /// (one string hash per token); every shard worker then scores pure
-    /// ids. Every worker re-checks `deadline` before probing its shard,
-    /// so an expired budget abandons the not-yet-probed shards instead of
-    /// finishing work nobody will read (a shard search already underway
-    /// runs to completion — checks sit on shard boundaries, bounding the
-    /// overshoot at one shard's probe).
-    ///
-    /// Alongside the merged hits, returns each shard's probe wall-clock
-    /// (scatter order) — the per-shard view `QueryDiagnostics` surfaces
-    /// so scatter-gather stragglers are visible.
-    #[allow(clippy::too_many_arguments)]
-    fn probe(
-        &self,
-        tokens: &[String],
-        k: usize,
-        deadline: &Deadline,
-        stage: &'static str,
-        trace: &Trace,
-        label: &'static str,
-        soft: &FailSoft,
-    ) -> Result<(Vec<SearchHit>, Vec<Duration>), WwtError> {
-        let Some(overlay) = &self.live else {
-            return self.probe_frozen(tokens, k, deadline, stage, trace, label, soft);
-        };
-        // Live path: over-fetch the frozen shards by the number of
-        // shadowed tables (so filtering tombstoned/overridden hits can
-        // never starve the top-k), drop shadowed hits, then fold in the
-        // delta segment's hits under the same global total order the
-        // shard merge uses.
-        let shadowed = overlay.live.shadowed_len();
-        let (mut hits, shard_times) =
-            self.probe_frozen(tokens, k + shadowed, deadline, stage, trace, label, soft)?;
-        hits.retain(|h| !overlay.live.is_shadowed(h.table));
-        let delta_hits = overlay.live.delta_search(tokens, k);
-        if trace.is_enabled() {
-            trace.note(&format!("{label}_delta_hits"), delta_hits.len().to_string());
-        }
-        hits.extend(delta_hits);
-        hits.sort_by(SearchHit::rank_order);
-        hits.truncate(k);
-        Ok((hits, shard_times))
-    }
-
-    /// The frozen-only scatter-gather behind [`Engine::probe`]. Under
-    /// fail-soft, a shard whose worker errors (or panics) — or that the
-    /// deadline expired before — is dropped from the merge with a
-    /// recorded reason instead of failing the whole probe; its slot in
-    /// the per-shard timing view reads zero.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_frozen(
-        &self,
-        tokens: &[String],
-        k: usize,
-        deadline: &Deadline,
-        stage: &'static str,
-        trace: &Trace,
-        label: &'static str,
-        soft: &FailSoft,
-    ) -> Result<(Vec<SearchHit>, Vec<Duration>), WwtError> {
-        let ids: Vec<TermId> = self.index.resolve_query(tokens);
-        let n = self.index.n_shards();
-        let probe_one = |s: usize| -> Result<(Vec<SearchHit>, Duration), WwtError> {
-            deadline.check(stage)?;
-            wwt_chaos::io_failpoint(wwt_chaos::PROBE_SHARD)?;
-            let t0 = Instant::now();
-            let hits = self.index.shard(s).search_ids(&ids, k);
-            Ok((hits, t0.elapsed()))
-        };
-        if n == 1 {
-            let (hits, elapsed) = match probe_one(0) {
-                Ok(r) => r,
-                Err(e) if soft.is_on() => {
-                    soft.note(format!("{stage}: shard 0 dropped: {e}"));
-                    (Vec::new(), Duration::default())
-                }
-                Err(e) => return Err(e),
-            };
-            if trace.is_enabled() {
-                trace.note(&format!("{label}_shard_hits"), hits.len().to_string());
-            }
-            return Ok((hits, vec![elapsed]));
-        }
-        // Tiny corpora probe serially (threads = 1): same scatter order,
-        // same merged bytes, none of the spawn cost.
-        let threads = if self.index.n_docs() >= PARALLEL_PROBE_MIN_DOCS {
-            self.probe_threads
-        } else {
-            1
-        };
-        // Fail-soft additionally isolates worker *panics* (`try_fan_out`
-        // catches per unit); the strict path keeps the historical
-        // fan-out, where a panic propagates to the service boundary.
-        let per_shard: Vec<Result<(Vec<SearchHit>, Duration), WwtError>> = if soft.is_on() {
-            try_fan_out(n, threads, probe_one)
-                .into_iter()
-                .map(|r| match r {
-                    Ok(inner) => inner,
-                    Err(p) => Err(WwtError::Internal(p.to_string())),
-                })
-                .collect()
-        } else {
-            fan_out(n, threads, probe_one)
-        };
-        let mut lists = Vec::with_capacity(n);
-        let mut shard_times = Vec::with_capacity(n);
-        for (s, r) in per_shard.into_iter().enumerate() {
-            match r {
-                Ok((hits, elapsed)) => {
-                    lists.push(hits);
-                    shard_times.push(elapsed);
-                }
-                Err(e) if soft.is_on() => {
-                    soft.note(format!("{stage}: shard {s} dropped: {e}"));
-                    shard_times.push(Duration::default());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if trace.is_enabled() {
-            let per_shard_hits: Vec<String> = lists.iter().map(|l| l.len().to_string()).collect();
-            trace.note(&format!("{label}_shard_hits"), per_shard_hits.join(","));
-        }
-        // Fail-soft merging runs unbudgeted: the hits are already in
-        // hand, and losing them to a stride check would throw away the
-        // partial result the mode exists to save.
-        let merge_deadline = if soft.is_on() {
-            Deadline::none()
-        } else {
-            *deadline
-        };
-        Ok((merge_shard_hits(lists, k, &merge_deadline)?, shard_times))
-    }
-
-    /// Retrieval plus the stage-1 pre-mapping it computed along the way
-    /// (reusable as the final mapping when the second probe adds
-    /// nothing). Fails only when `deadline` expires at the boundary
-    /// between the first and second probe.
-    fn retrieve_with(
-        &self,
-        query: &Query,
-        cfg: &WwtConfig,
-        deadline: &Deadline,
-        trace: &Trace,
-        soft: &FailSoft,
-    ) -> Result<(Retrieval, MappingResult), WwtError> {
-        let mut timing = StageTimings::default();
-
-        // Probe 1: union of query keywords (hits far below the best match
-        // are dropped — they are single-keyword noise), scattered across
-        // the index shards.
-        let t0 = Instant::now();
-        let tokens = tokenize(&query.all_keywords());
-        let (mut hits1, shard_times1) = self.probe(
-            &tokens,
-            cfg.probe1_k,
-            deadline,
-            "first probe",
-            trace,
-            "probe1",
-            soft,
-        )?;
-        if let Some(best) = hits1.first().map(|h| h.score) {
-            hits1.retain(|h| h.score >= best * cfg.score_cutoff_frac);
-        }
-        timing.index1 = t0.elapsed();
-        timing.probe1_shards = shard_times1;
-        if trace.is_enabled() {
-            trace.push_span(probe_span(
-                "probe1",
-                timing.index1,
-                &timing.probe1_shards,
-                hits1.len(),
-                cfg.probe1_k,
-            ));
-        }
-
-        let t0 = Instant::now();
-        let stage1: Vec<TableId> = hits1.iter().map(|h| h.table).collect();
-        let stage1_set: HashSet<TableId> = stage1.iter().copied().collect();
-        let tables1: Vec<&WebTable> = stage1.iter().filter_map(|&id| self.table(id)).collect();
-        timing.read1 = t0.elapsed();
-        if trace.is_enabled() {
-            trace.push_span(
-                SpanRecord::new("read1", timing.read1)
-                    .with_detail("tables", tables1.len().to_string()),
-            );
-        }
-
-        // Pre-map stage-1 candidates to find confident seed tables.
-        let t0 = Instant::now();
-        let mapper = ColumnMapper {
-            config: cfg.mapper.clone(),
-            algorithm: cfg.algorithm,
-            pair_memo: Some(Arc::clone(&self.pair_memo)),
-        };
-        let pre = match self.map_traced(
-            &mapper,
-            query,
-            &tables1,
-            trace,
-            deadline,
-            "column_map:premap",
-        ) {
-            Ok(pre) => pre,
-            Err(e) if soft.is_on() => {
-                // Fail-soft: no pre-mapping means no relevance scores —
-                // the second probe loses its seeds and the final map has
-                // no premap to fall back on, but retrieval itself stands.
-                soft.note(format!("column mapping (premap): {e}"));
-                MappingResult::empty()
-            }
-            Err(e) => return Err(e),
-        };
-        timing.column_map += t0.elapsed();
-
-        let mut seeds: Vec<usize> = if pre.labelings.len() == tables1.len() {
-            (0..tables1.len())
-                .filter(|&i| {
-                    pre.table_relevance[i] >= cfg.high_relevance && pre.labelings[i].is_relevant()
-                })
-                .collect()
-        } else {
-            // The fail-soft empty premap above: nothing to seed from.
-            Vec::new()
-        };
-        seeds.sort_by(|&a, &b| {
-            pre.table_relevance[b]
-                .partial_cmp(&pre.table_relevance[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        seeds.truncate(2);
-        if trace.is_enabled() {
-            trace.note("probe2_seeds", seeds.len().to_string());
-        }
-
-        // Stage boundary: the second probe (and everything after it) is
-        // refused once the budget is spent — or, fail-soft, skipped with
-        // the stage-1 candidates standing in for the full retrieval.
-        if let Err(e) = deadline.check("second probe") {
-            if soft.is_on() {
-                soft.note("second probe: skipped (deadline exceeded)");
-                seeds.clear();
-            } else {
-                return Err(e);
-            }
-        }
-
-        let mut stage2: Vec<TableId> = Vec::new();
-        let probe2_used = !seeds.is_empty();
-        if probe2_used {
-            // Sample rows from the confident tables (deterministic spread).
-            let mut sample_tokens: Vec<String> = tokens.clone();
-            for &s in &seeds {
-                let t = tables1[s];
-                let n = t.n_rows();
-                let step = (n / cfg.sample_rows.max(1)).max(1);
-                for r in (0..n).step_by(step).take(cfg.sample_rows) {
-                    for c in 0..t.n_cols() {
-                        // Purely numeric tokens (years, counts) match
-                        // foreign tables everywhere; the discriminative
-                        // part of a sampled row is its entity text.
-                        sample_tokens.extend(
-                            tokenize(t.cell(r, c))
-                                .into_iter()
-                                .filter(|tok| !tok.chars().all(|c| c.is_ascii_digit())),
-                        );
-                    }
-                }
-            }
-            let t0 = Instant::now();
-            // Stage-1 tables re-match their own sampled rows, so search
-            // wide enough that they cannot crowd out new tables, then keep
-            // the top `probe2_k` *new* content-overlap matches.
-            let (mut hits2, shard_times2) = self.probe(
-                &sample_tokens,
-                cfg.probe2_k + stage1.len(),
-                deadline,
-                "second probe",
-                trace,
-                "probe2",
-                soft,
-            )?;
-            hits2.retain(|h| !stage1_set.contains(&h.table));
-            hits2.truncate(cfg.probe2_k);
-            timing.index2 = t0.elapsed();
-            timing.probe2_shards = shard_times2;
-            if trace.is_enabled() {
-                trace.push_span(probe_span(
-                    "probe2",
-                    timing.index2,
-                    &timing.probe2_shards,
-                    hits2.len(),
-                    cfg.probe2_k,
-                ));
-            }
-            let t0 = Instant::now();
-            let mut seen2: HashSet<TableId> = HashSet::with_capacity(hits2.len());
-            for (i, h) in hits2.into_iter().enumerate() {
-                // The in-stage check: a giant second-probe candidate set
-                // must not carry the request past its budget between the
-                // stage boundaries.
-                if i % MERGE_DEADLINE_STRIDE == 0 {
-                    if let Err(e) = deadline.check("retrieval merge") {
-                        if soft.is_on() {
-                            soft.note(
-                                "retrieval merge: candidate list truncated (deadline exceeded)",
-                            );
-                            break;
-                        }
-                        return Err(e);
-                    }
-                }
-                if seen2.insert(h.table) {
-                    stage2.push(h.table);
-                }
-            }
-            timing.read2 = t0.elapsed();
-        }
-        Ok((
-            Retrieval {
-                stage1,
-                stage2,
-                probe2_used,
-                timing,
-            },
-            pre,
-        ))
-    }
-
-    /// Full online pipeline for one typed request: validate options →
-    /// retrieve → map → consolidate → rank → limit (§2.2). The request's
-    /// `deadline_ms` budget (if any) is checked at every stage boundary;
-    /// once it passes, the pipeline aborts with
-    /// [`WwtError::DeadlineExceeded`] instead of finishing work whose
-    /// reader has already given up.
-    pub fn answer(&self, request: &QueryRequest) -> Result<QueryResponse, WwtError> {
-        self.answer_traced(request, &Trace::disabled())
-    }
-
-    /// [`Engine::answer`] recording into a caller-supplied [`Trace`].
-    ///
-    /// A disabled trace makes this exactly `answer` — no clock reads, no
-    /// allocations beyond the untraced path. When the request sets
-    /// `explain` and the caller passed a disabled handle, a local trace
-    /// is enabled so in-process callers get diagnostics too. The
-    /// finished report lands in [`QueryDiagnostics::trace`].
-    pub fn answer_traced(
-        &self,
-        request: &QueryRequest,
-        trace: &Trace,
-    ) -> Result<QueryResponse, WwtError> {
-        let cfg = request.options.resolve(&self.config)?;
-        let deadline = Deadline::starting_now(request.options.deadline_ms);
-        // The admission check stays hard even under fail-soft: a budget
-        // spent before any work ran has no partial result to salvage.
-        deadline.check("retrieval")?;
-        let soft = FailSoft::from_option(request.options.fail_soft);
-        let local;
-        let trace = if request.options.explain && !trace.is_enabled() {
-            local = Trace::enabled("");
-            &local
-        } else {
-            trace
-        };
-        if !trace.is_enabled() {
-            return self.answer_with(
-                &request.query,
-                &cfg,
-                request.options.max_rows,
-                trace,
-                &deadline,
-                &soft,
-            );
-        }
-        let t0 = Instant::now();
-        if let Some(ms) = request.options.deadline_ms {
-            trace.note("deadline_ms", ms.to_string());
-        }
-        let mut response = self.answer_with(
-            &request.query,
-            &cfg,
-            request.options.max_rows,
-            trace,
-            &deadline,
-            &soft,
-        )?;
-        trace.note(
-            "docset_cache_entries",
-            self.docset_cache_entries().to_string(),
-        );
-        response.diagnostics.trace = trace.finish(t0.elapsed());
-        Ok(response)
-    }
-
-    /// Full online pipeline for a bare query with the engine defaults
-    /// (infallible: there are no per-request options to validate and no
-    /// deadline to expire).
-    pub fn answer_query(&self, query: &Query) -> QueryResponse {
-        self.answer_with(
-            query,
-            &self.config,
-            None,
-            &Trace::disabled(),
-            &Deadline::none(),
-            &FailSoft::off(),
-        )
-        .expect("a query without a deadline cannot time out")
-    }
-
-    fn answer_with(
-        &self,
-        query: &Query,
-        cfg: &WwtConfig,
-        max_rows: Option<usize>,
-        trace: &Trace,
-        deadline: &Deadline,
-        soft: &FailSoft,
-    ) -> Result<QueryResponse, WwtError> {
-        let (retrieval, premap) = self.retrieve_with(query, cfg, deadline, trace, soft)?;
-        let mut timing = retrieval.timing.clone();
-        let mut candidates = retrieval.candidates();
-
-        // Stage boundary: candidate tables are in hand; mapping is the
-        // most expensive online stage, so refuse it on a spent budget —
-        // or, fail-soft, cut it back to the first-probe candidates the
-        // stage-1 pre-mapping already labeled.
-        let mut mapping_cut = false;
-        if let Err(e) = deadline.check("column mapping") {
-            if soft.is_on() {
-                soft.note("column mapping: limited to first-probe candidates (deadline exceeded)");
-                mapping_cut = true;
-                candidates.truncate(retrieval.stage1.len());
-            } else {
-                return Err(e);
-            }
-        }
-
-        let t0 = Instant::now();
-        let mut tables: Vec<&WebTable> =
-            candidates.iter().filter_map(|&id| self.table(id)).collect();
-        timing.read2 += t0.elapsed();
-
-        // The stage-1 pre-map already labeled exactly this candidate set
-        // when the second probe contributed nothing (or fail-soft cut
-        // the mapping back to stage 1) — reuse it instead of re-running
-        // the most expensive online stage (the mapper is deterministic
-        // over identical inputs).
-        let premap_stats = premap.stats;
-        let reused_premap =
-            (retrieval.stage2.is_empty() || mapping_cut) && premap.labelings.len() == tables.len();
-        let mut fell_back = false;
-        let mapping = if reused_premap {
-            if trace.is_enabled() {
-                trace.note("column_map", "reused premap");
-            }
-            premap
-        } else {
-            let t0 = Instant::now();
-            // Fail-soft deadline pressure (over half the budget already
-            // spent): joint inference would likely blow what remains, so
-            // downgrade to independent per-table labeling — a cheaper
-            // answer beats none.
-            let mut algorithm = cfg.algorithm;
-            if soft.is_on() && deadline.pressured() && algorithm != InferenceAlgorithm::Independent
-            {
-                soft.note(
-                    "column mapping: downgraded to independent inference (deadline pressure)",
-                );
-                algorithm = InferenceAlgorithm::Independent;
-            }
-            let mapper = ColumnMapper {
-                config: cfg.mapper.clone(),
-                algorithm,
-                pair_memo: Some(Arc::clone(&self.pair_memo)),
-            };
-            match self.map_traced(&mapper, query, &tables, trace, deadline, "column_map") {
-                Ok(mapping) => {
-                    timing.column_map += t0.elapsed();
-                    mapping
-                }
-                Err(e) if soft.is_on() => {
-                    timing.column_map += t0.elapsed();
-                    soft.note(format!("column mapping: {e}"));
-                    fell_back = true;
-                    // Fall back to the stage-1 pre-mapping: candidates
-                    // are stage1 ++ stage2 and table reads preserve that
-                    // prefix order, so the premap labels exactly the
-                    // first `premap.labelings.len()` tables (zero when
-                    // the premap itself degraded away).
-                    tables.truncate(premap.labelings.len());
-                    candidates.truncate(tables.len());
-                    premap
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        // Diagnostics counters cover every mapper run this request made:
-        // the final map plus the premap when the latter wasn't reused
-        // (reuse — including the fail-soft fallback onto the premap —
-        // would double-count the same run).
-        let mut map_stats = mapping.stats;
-        if !reused_premap && !fell_back {
-            map_stats.merge(&premap_stats);
-        }
-
-        // Stage boundary: mapping is done; consolidation is refused on a
-        // spent budget (fail-soft: noted and run anyway — it is cheap
-        // relative to what is already in hand, and it is the step that
-        // turns the surviving candidates into an answer).
-        if let Err(e) = deadline.check("consolidation") {
-            if soft.is_on() {
-                soft.note("consolidation: ran past the deadline");
-            } else {
-                return Err(e);
-            }
-        }
-
-        let t0 = Instant::now();
-        let inputs: Vec<RelevantInput<'_>> = (0..tables.len())
-            .filter(|&i| mapping.labelings[i].is_relevant())
-            .map(|i| RelevantInput {
-                table: tables[i],
-                labeling: &mapping.labelings[i],
-                relevance: mapping.table_relevance[i],
-            })
-            .collect();
-        let mut table = consolidate(query, &inputs);
-        timing.consolidate = t0.elapsed();
-        if trace.is_enabled() {
-            trace.push_span(
-                SpanRecord::new("consolidate", timing.consolidate)
-                    .with_detail("relevant_tables", inputs.len().to_string()),
-            );
-            trace.note("candidates", candidates.len().to_string());
-        }
-
-        let rows_before_limit = table.len();
-        if let Some(limit) = max_rows {
-            table.rows.truncate(limit);
-        }
-        let diagnostics = QueryDiagnostics {
-            timing,
-            probe2_used: retrieval.probe2_used,
-            n_candidates: candidates.len(),
-            n_relevant: inputs.len(),
-            rows_before_limit,
-            trace: None,
-            map_stats,
-            degraded: soft.any(),
-            degraded_reasons: soft.take(),
-        };
-        Ok(QueryResponse {
-            table,
-            mapping,
-            candidates,
-            retrieval,
-            diagnostics,
-        })
-    }
-
-    /// The column-map batch with optional per-view tracing: disabled
-    /// traces take the untimed pooled path unchanged; enabled traces run
-    /// the timed variant (identical output) and record a span carrying
-    /// one child per view — a deterministic prefix in candidate order,
-    /// so traces of the same request are structurally stable run to run.
-    ///
-    /// The batch runs under `deadline` with in-stage granularity: the
-    /// cancel hook is consulted once per view inside the node-potential
-    /// loop and once per table during edge construction, so a giant
-    /// candidate set cannot carry the request far past its budget
-    /// between stage boundaries (the same contract as
-    /// [`MERGE_DEADLINE_STRIDE`] in retrieval merging).
-    fn map_traced(
-        &self,
-        mapper: &ColumnMapper,
-        query: &Query,
-        tables: &[&WebTable],
-        trace: &Trace,
-        deadline: &Deadline,
-        span_name: &'static str,
-    ) -> Result<MappingResult, WwtError> {
-        wwt_chaos::io_failpoint(wwt_chaos::MAP_BATCH)?;
-        let views = self.views_for(tables);
-        let check = || deadline.check("column mapping");
-        let cancel: Option<&(dyn Fn() -> Result<(), WwtError> + Sync)> = Some(&check);
-        if !trace.is_enabled() {
-            return mapper.map_views_cancellable(
-                query,
-                &views,
-                self.index.stats(),
-                Some(self.docsets()),
-                self.map_threads,
-                cancel,
-            );
-        }
-        let t0 = Instant::now();
-        let (mapping, view_times) = mapper.map_views_cancellable_timed(
-            query,
-            &views,
-            self.index.stats(),
-            Some(self.docsets()),
-            self.map_threads,
-            cancel,
-        )?;
-        let mut span = SpanRecord::new(span_name, t0.elapsed())
-            .with_detail("views", tables.len().to_string())
-            .with_detail("threads", self.map_threads.to_string());
-        const MAX_VIEW_CHILDREN: usize = 8;
-        for (i, elapsed) in view_times.iter().take(MAX_VIEW_CHILDREN).enumerate() {
-            span = span.with_child(SpanRecord::new(
-                format!("view:{}", tables[i].id.0),
-                *elapsed,
-            ));
-        }
-        trace.push_span(span);
-        Ok(mapping)
-    }
-
-    /// Views over `tables`, reusing bind-time precomputed features when
-    /// available (the common path) and computing on the spot otherwise
-    /// (`precompute_views` off, or a table unknown at bind). Both paths
-    /// produce identical answers — with `precompute_views` on, spot
-    /// views carry the same interned fast-path layout bind-time views
-    /// do; with it off, the engine stays entirely on the string oracle
-    /// path (the reference implementation equivalence tests diff
-    /// against).
-    fn views_for<'t>(&self, tables: &[&'t WebTable]) -> Vec<TableView<'t>> {
-        tables
-            .iter()
-            .map(|t| {
-                // Delta tables (and delta overrides of frozen ids) carry
-                // their own bind-time features; they are checked first so
-                // a re-ingested id never reuses the stale frozen view.
-                if let Some(overlay) = &self.live {
-                    if let Some(f) = overlay.features.get(&t.id) {
-                        return TableView::with_features(t, Arc::clone(f));
-                    }
-                    if overlay.live.delta_table(t.id).is_some() {
-                        return self.spot_view(t);
-                    }
-                }
-                match self.features.get(&t.id) {
-                    Some(f) => TableView::with_features(t, Arc::clone(f)),
-                    None => self.spot_view(t),
-                }
-            })
-            .collect()
-    }
-
-    /// A view computed at query time for a table with no bind-time
-    /// features, matching the engine's configured feature flavor.
-    fn spot_view<'t>(&self, t: &'t WebTable) -> TableView<'t> {
-        if self.config.precompute_views {
-            TableView::new(t, self.index.stats(), self.config.mapper.body_freq_frac)
-        } else {
-            TableView::new_oracle(t, self.index.stats(), self.config.mapper.body_freq_frac)
-        }
-    }
-
-    /// One table of the live view: the delta's copy wins, tombstoned
-    /// frozen tables are gone, everything else reads the frozen store.
-    fn table(&self, id: TableId) -> Option<&WebTable> {
-        if let Some(overlay) = &self.live {
-            if let Some(t) = overlay.live.delta_table(id) {
-                return Some(t);
-            }
-            if overlay.live.is_tombstoned(id) {
-                return None;
-            }
-        }
-        self.store.get(id)
-    }
-
-    /// The doc-set probe surface the column mapper consumes: the live
-    /// overlay when one exists (shadow-filtered + delta-extended ids),
-    /// the frozen facade otherwise.
-    fn docsets(&self) -> &dyn DocSets {
-        match &self.live {
-            Some(overlay) => overlay.live.as_ref() as &dyn DocSets,
-            None => self.index.as_ref() as &dyn DocSets,
-        }
-    }
-
-    /// Entries resident in the index's doc-set probe memo (facade +
-    /// shards) — the `wwt_docset_cache_entries` gauge.
-    pub fn docset_cache_entries(&self) -> usize {
-        self.index.docset_cache_entries()
     }
 
     /// Assembles an engine from a built sharded index and store without
@@ -1353,48 +626,16 @@ impl Engine {
     }
 }
 
-/// Builds the trace span for one scatter-gather probe: stage duration,
-/// one child span per shard (scatter order, matching the
-/// `probe*_shards` diagnostics), and the hit/k accounting.
-fn probe_span(
-    name: &'static str,
-    elapsed: Duration,
-    shard_times: &[Duration],
-    hits: usize,
-    k: usize,
-) -> SpanRecord {
-    let mut span = SpanRecord::new(name, elapsed)
-        .with_detail("hits", hits.to_string())
-        .with_detail("k", k.to_string());
-    for (s, t) in shard_times.iter().enumerate() {
-        span = span.with_child(SpanRecord::new(format!("shard{s}"), *t));
-    }
-    span
-}
-
-/// Merges per-shard top-k hit lists under the request deadline: the
-/// equivalence-preserving total-order merge of
-/// [`ShardedIndex::merge_hits`], with the budget re-checked every
-/// [`MERGE_DEADLINE_STRIDE`] candidates so an enormous gathered set
-/// cannot stall the request between stage boundaries.
-fn merge_shard_hits(
-    lists: Vec<Vec<SearchHit>>,
-    k: usize,
-    deadline: &Deadline,
-) -> Result<Vec<SearchHit>, WwtError> {
-    // One check guards the whole merge (the sort is its only expensive
-    // block); the merge itself is exactly the facade's, so the ranking
-    // can never drift from what `ShardedIndex::search` produces.
-    deadline.check("retrieval merge")?;
-    Ok(ShardedIndex::merge_hits(lists, k))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::online::merge_shard_hits;
     use super::*;
-    use crate::request::QueryOptions;
+    use crate::deadline::Deadline;
+    use crate::request::{QueryOptions, QueryRequest};
     use wwt_core::InferenceAlgorithm;
+    use wwt_index::SearchHit;
     use wwt_model::ContextSnippet;
+    use wwt_model::Query;
 
     fn currency_page(i: usize, countries: &[(&str, &str)]) -> String {
         let mut rows = String::new();
