@@ -54,14 +54,14 @@
 //! 1e-12 slack, reaches the same assignment whenever every positive
 //! weight is far above that slack; the similarity floor guarantees this
 //! (`min_column_sim` defaults to 0.1), and the shortcut is only taken
-//! when the floor exceeds [`FORCED_MIN_SIM`]. The cells are then emitted
+//! when the floor exceeds `FORCED_MIN_SIM`. The cells are then emitted
 //! in row order, exactly as the solver's assignment is read.
 //!
 //! # The cross-query pair memo
 //!
 //! A table pair's matched columns are a pure function of the two tables
 //! and two mapper parameters (`min_column_sim`, `content_sim_mix`) — the
-//! query never enters [`match_columns`]. An engine therefore shares one
+//! query never enters `match_columns`. An engine therefore shares one
 //! [`PairMemo`] across all of its queries: the first query to visit a
 //! pair pays the similarity matrix and the matching flow, every later
 //! query replays the recorded `(col_a, col_b, sim)` list bit-for-bit.
@@ -297,7 +297,7 @@ impl PairMemo {
     }
 
     /// Whether cached matchings are valid under `cfg` — true iff the two
-    /// parameters [`match_columns`] reads are bit-identical.
+    /// parameters `match_columns` reads are bit-identical.
     pub fn matches(&self, cfg: &MapperConfig) -> bool {
         self.min_sim_bits == cfg.min_column_sim.to_bits()
             && self.mix_bits == cfg.content_sim_mix.to_bits()

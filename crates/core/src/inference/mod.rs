@@ -4,9 +4,9 @@
 //!   matching (§4.1; edge potentials ignored);
 //! * [`marginals`] — per-table max-marginals and calibrated label
 //!   probabilities (§4.2.3, Figure 3);
-//! * [`table_centric`] — the collective algorithm the paper found best:
+//! * [`mod@table_centric`] — the collective algorithm the paper found best:
 //!   marginal-weighted neighbor messages, then per-table re-solve (§4.2);
-//! * [`edge_centric`] — the α-expansion / BP / TRW-S alternatives over the
+//! * [`mod@edge_centric`] — the α-expansion / BP / TRW-S alternatives over the
 //!   full pairwise model with constraints lowered or handled by constrained
 //!   cuts (§4.3).
 

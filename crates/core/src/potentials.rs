@@ -29,7 +29,7 @@
 //! sequence per score is unchanged, so the result is **bit-identical** to
 //! the string oracle (views built by [`TableFeatures::compute_oracle`]);
 //! `tests/interned_equivalence.rs` pins this end to end and
-//! [`tests::fast_path_matches_oracle_bitwise`] pins it per matrix entry.
+//! `tests::fast_path_matches_oracle_bitwise` pins it per matrix entry.
 //!
 //! [`TableFeatures::compute_oracle`]: crate::view::TableFeatures::compute_oracle
 

@@ -8,16 +8,17 @@
 //! will read. A stage already running is never interrupted — checks sit
 //! on the boundaries, so the pipeline overshoots by at most one stage.
 //!
-//! [`Deadline::none`] is a true no-op: no clock is read, so requests
+//! The default deadline is a true no-op: no clock is read, so requests
 //! without a deadline behave byte-identically to a build without this
 //! module.
 
 use std::time::{Duration, Instant};
 use wwt_model::WwtError;
 
-/// An absolute point in time a request must not run past.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
+/// An absolute point in time a request must not run past; the default
+/// is none, and its [`Deadline::check`] passes without reading the clock.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Deadline {
     at: Option<Instant>,
     /// The original budget, kept so fail-soft execution can judge
     /// *pressure* (more than half the budget spent) rather than only
@@ -26,15 +27,6 @@ pub struct Deadline {
 }
 
 impl Deadline {
-    /// No deadline: every [`Deadline::check`] passes without reading the
-    /// clock.
-    pub fn none() -> Self {
-        Deadline {
-            at: None,
-            budget: None,
-        }
-    }
-
     /// A deadline `budget_ms` milliseconds from now; `None` means no
     /// deadline. A budget of `0` expires immediately — the first
     /// checkpoint trips.
@@ -44,21 +36,6 @@ impl Deadline {
             at: budget.map(|b| Instant::now() + b),
             budget,
         }
-    }
-
-    /// A deadline `budget` from now.
-    pub fn after(budget: Duration) -> Self {
-        Deadline {
-            at: Some(Instant::now() + budget),
-            budget: Some(budget),
-        }
-    }
-
-    /// Time left before the deadline (zero once it has passed); `None`
-    /// when no deadline is set.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at
-            .map(|at| at.saturating_duration_since(Instant::now()))
     }
 
     /// True iff a deadline is set and more than half its budget is
@@ -72,17 +49,12 @@ impl Deadline {
         }
     }
 
-    /// True iff a deadline is set and has passed.
-    pub fn expired(&self) -> bool {
-        self.at.is_some_and(|at| Instant::now() >= at)
-    }
-
     /// Passes while time remains; once the deadline is behind us, fails
     /// with [`WwtError::DeadlineExceeded`] naming the stage about to
     /// start (the work being refused, not the work that consumed the
     /// budget).
     pub fn check(&self, stage: &'static str) -> Result<(), WwtError> {
-        if self.expired() {
+        if self.at.is_some_and(|at| Instant::now() >= at) {
             Err(WwtError::DeadlineExceeded(stage.to_string()))
         } else {
             Ok(())
@@ -96,16 +68,15 @@ mod tests {
 
     #[test]
     fn none_never_expires() {
-        let d = Deadline::none();
-        assert!(!d.expired());
-        assert!(d.check("anything").is_ok());
+        assert!(Deadline::default().check("anything").is_ok());
+        assert!(!Deadline::default().pressured());
         assert!(Deadline::starting_now(None).check("x").is_ok());
     }
 
     #[test]
     fn zero_budget_expires_immediately() {
         let d = Deadline::starting_now(Some(0));
-        assert!(d.expired());
+        assert!(d.pressured());
         match d.check("retrieve") {
             Err(WwtError::DeadlineExceeded(stage)) => assert_eq!(stage, "retrieve"),
             other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -115,37 +86,22 @@ mod tests {
     #[test]
     fn generous_budget_passes() {
         let d = Deadline::starting_now(Some(60_000));
-        assert!(!d.expired());
+        assert!(!d.pressured());
         assert!(d.check("consolidate").is_ok());
     }
 
     #[test]
     fn after_expires_once_elapsed() {
-        let d = Deadline::after(Duration::from_millis(1));
+        let d = Deadline::starting_now(Some(1));
         std::thread::sleep(Duration::from_millis(5));
-        assert!(d.expired());
         assert!(d.check("column_map").is_err());
     }
 
     #[test]
-    fn remaining_and_pressure() {
-        let none = Deadline::none();
-        assert_eq!(none.remaining(), None);
-        assert!(!none.pressured());
-
-        let fresh = Deadline::starting_now(Some(60_000));
-        assert!(fresh.remaining().unwrap() > Duration::from_secs(50));
-        assert!(!fresh.pressured());
-
-        // An expired deadline is by definition pressured, with zero left.
-        let spent = Deadline::starting_now(Some(0));
-        assert_eq!(spent.remaining(), Some(Duration::ZERO));
-        assert!(spent.pressured());
-
-        // Half the budget gone → pressured, well before expiry.
-        let d = Deadline::after(Duration::from_millis(20));
+    fn pressure_starts_at_half_the_budget() {
+        // Half the budget gone: pressured, well before expiry.
+        let d = Deadline::starting_now(Some(20));
         std::thread::sleep(Duration::from_millis(12));
-        assert!(!d.expired() || d.pressured()); // tolerate slow CI
         assert!(d.pressured());
     }
 }

@@ -6,10 +6,11 @@
 //! operation takes `&self`, so one build can serve queries from many
 //! threads (`Engine: Send + Sync + Clone`, and cloning is cheap).
 
+mod exec;
 mod online;
 
 use crate::fan_out;
-use crate::pipeline::WwtConfig;
+use crate::request::WwtConfig;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -171,7 +172,7 @@ pub struct Engine {
     /// Worker threads used to scatter an index probe across shards
     /// (computed once at build; the workers come from the persistent
     /// [`fan_out`] pool, which only engages above
-    /// [`PARALLEL_PROBE_MIN_DOCS`] where probe time dwarfs handoff
+    /// [`online::PARALLEL_PROBE_MIN_DOCS`] where probe time dwarfs handoff
     /// cost).
     probe_threads: usize,
     /// Worker threads for the per-candidate column-mapping batch (one
@@ -628,10 +629,10 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
+    use super::exec::ExecCtx;
     use super::online::merge_shard_hits;
     use super::*;
-    use crate::deadline::Deadline;
-    use crate::request::{QueryOptions, QueryRequest};
+    use crate::request::{QueryOptions, QueryRequest, QueryResponse};
     use wwt_core::InferenceAlgorithm;
     use wwt_index::SearchHit;
     use wwt_model::ContextSnippet;
@@ -656,6 +657,11 @@ mod tests {
          <tr><td>7</td><td>2236</td></tr><tr><td>9</td><td>880</td></tr></table>\
          </body></html>"
             .to_string()
+    }
+
+    /// The engine-default answer to a bare query.
+    fn answer(engine: &Engine, query: &Query) -> QueryResponse {
+        engine.answer(&QueryRequest::new(query.clone())).unwrap()
     }
 
     fn build_engine() -> Engine {
@@ -686,7 +692,7 @@ mod tests {
     fn answer_consolidates_currency_tables() {
         let engine = build_engine();
         let q = Query::parse("country | currency").unwrap();
-        let out = engine.answer_query(&q);
+        let out = answer(&engine, &q);
         assert!(!out.table.is_empty(), "no answer rows");
         // India appears in both tables: must be merged with support 2.
         let india = out
@@ -711,7 +717,7 @@ mod tests {
     fn timings_and_diagnostics_populated() {
         let engine = build_engine();
         let q = Query::parse("country | currency").unwrap();
-        let out = engine.answer_query(&q);
+        let out = answer(&engine, &q);
         assert!(out.diagnostics.timing.column_map > std::time::Duration::ZERO);
         assert!(out.diagnostics.timing.total() >= out.diagnostics.timing.column_map);
         assert_eq!(out.diagnostics.n_candidates, out.candidates.len());
@@ -792,7 +798,7 @@ mod tests {
     fn unanswerable_query_yields_empty_table() {
         let engine = build_engine();
         let q = Query::parse("zebra migrations | season").unwrap();
-        let out = engine.answer_query(&q);
+        let out = answer(&engine, &q);
         assert!(out.table.is_empty());
     }
 
@@ -800,7 +806,7 @@ mod tests {
     fn empty_engine_is_safe() {
         let engine = Engine::from_tables(vec![], WwtConfig::default());
         let q = Query::parse("anything | at all").unwrap();
-        let out = engine.answer_query(&q);
+        let out = answer(&engine, &q);
         assert!(out.table.is_empty());
         assert!(out.candidates.is_empty());
     }
@@ -840,7 +846,7 @@ mod tests {
     fn engine_answers_identically_across_threads() {
         let engine = Arc::new(build_engine());
         let q = Query::parse("country | currency").unwrap();
-        let serial = engine.answer_query(&q);
+        let serial = answer(&engine, &q);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let engine = Arc::clone(&engine);
@@ -848,7 +854,7 @@ mod tests {
                 let serial_table = serial.table.clone();
                 scope.spawn(move || {
                     for _ in 0..3 {
-                        let out = engine.answer_query(&q);
+                        let out = answer(&engine, &q);
                         assert_eq!(out.table, serial_table);
                     }
                 });
@@ -904,8 +910,8 @@ mod tests {
         let restored = Engine::load_from_dir(&dir, engine.config().clone()).unwrap();
         assert_eq!(restored.store().len(), engine.store().len());
         let q = Query::parse("country | currency").unwrap();
-        let a = engine.answer_query(&q);
-        let b = restored.answer_query(&q);
+        let a = answer(&engine, &q);
+        let b = answer(&restored, &q);
         assert_eq!(a.table, b.table);
         assert_eq!(a.candidates, b.candidates);
         std::fs::remove_dir_all(&dir).ok();
@@ -940,10 +946,7 @@ mod tests {
         let restored = Engine::load_from_dir(&dir, engine.config().clone()).unwrap();
         assert_eq!(restored.n_shards(), 1);
         let q = Query::parse("country | currency").unwrap();
-        assert_eq!(
-            restored.answer_query(&q).table,
-            engine.answer_query(&q).table
-        );
+        assert_eq!(answer(&restored, &q).table, answer(&engine, &q).table);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -962,8 +965,8 @@ mod tests {
         let restored = Engine::load_from_dir(&dir, engine.config().clone()).unwrap();
         assert_eq!(restored.n_shards(), 4);
         let q = Query::parse("country | currency").unwrap();
-        let a = engine.answer_query(&q);
-        let b = restored.answer_query(&q);
+        let a = answer(&engine, &q);
+        let b = answer(&restored, &q);
         assert_eq!(a.table, b.table);
         assert_eq!(a.candidates, b.candidates);
         std::fs::remove_dir_all(&dir).ok();
@@ -990,11 +993,11 @@ mod tests {
         };
         let reference = build(1);
         let q = Query::parse("country | currency").unwrap();
-        let expected = reference.answer_query(&q);
+        let expected = answer(&reference, &q);
         for n in [2usize, 3, 8] {
             let sharded = build(n);
             assert_eq!(sharded.n_shards(), n);
-            let out = sharded.answer_query(&q);
+            let out = answer(&sharded, &q);
             assert_eq!(out.table, expected.table, "answer drift at {n} shards");
             assert_eq!(
                 out.candidates, expected.candidates,
@@ -1015,11 +1018,15 @@ mod tests {
             .collect();
         // A generous deadline merges normally...
         let merged =
-            merge_shard_hits(vec![hits.clone(), hits.clone()], 5, &Deadline::none()).unwrap();
+            merge_shard_hits(vec![hits.clone(), hits.clone()], 5, &ExecCtx::default()).unwrap();
         assert_eq!(merged.len(), 5);
         // ...an expired one is refused inside the merge itself, naming
         // the in-stage checkpoint.
-        let expired = Deadline::starting_now(Some(0));
+        let options = QueryOptions {
+            deadline_ms: Some(0),
+            ..QueryOptions::default()
+        };
+        let expired = ExecCtx::new(&options, &wwt_obs::Trace::disabled());
         match merge_shard_hits(vec![hits.clone(), hits], 5, &expired) {
             Err(WwtError::DeadlineExceeded(stage)) => assert_eq!(stage, "retrieval merge"),
             other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -1048,8 +1055,8 @@ mod tests {
         let oracle = build(false);
         for query in ["country | currency", "forest | area", "zebra | stripes"] {
             let q = Query::parse(query).unwrap();
-            let a = fast.answer_query(&q);
-            let b = oracle.answer_query(&q);
+            let a = answer(&fast, &q);
+            let b = answer(&oracle, &q);
             assert_eq!(a.table, b.table, "{query}");
             assert_eq!(a.candidates, b.candidates, "{query}");
             for (x, y) in a
@@ -1067,7 +1074,7 @@ mod tests {
     fn per_shard_probe_timings_reported() {
         let engine = build_engine();
         let q = Query::parse("country | currency").unwrap();
-        let out = engine.answer_query(&q);
+        let out = answer(&engine, &q);
         assert_eq!(
             out.diagnostics.timing.probe1_shards.len(),
             engine.n_shards(),
@@ -1103,17 +1110,17 @@ mod tests {
         assert_eq!(live.delta_len(), 1);
         assert_eq!(live.n_tables(), engine.n_tables() + 1);
         let q = Query::parse("volcano | elevation").unwrap();
-        let out = live.answer_query(&q);
+        let out = answer(&live, &q);
         assert!(
             out.table.rows.iter().any(|r| r.cells[0] == "Etna"),
             "ingested table must answer: {:?}",
             out.table
         );
         // The original engine is untouched (immutable snapshots).
-        assert!(engine.answer_query(&q).table.is_empty());
+        assert!(answer(&engine, &q).table.is_empty());
         // Existing queries still answer over the frozen corpus.
         let cq = Query::parse("country | currency").unwrap();
-        assert_eq!(live.answer_query(&cq).table, engine.answer_query(&cq).table);
+        assert_eq!(answer(&live, &cq).table, answer(&engine, &cq).table);
     }
 
     #[test]
@@ -1125,7 +1132,7 @@ mod tests {
         let live = engine.with_table_removed(victim).expect("known table");
         assert_eq!(live.tombstone_len(), 1);
         let q = Query::parse("country | currency").unwrap();
-        let out = live.answer_query(&q);
+        let out = answer(&live, &q);
         assert!(out.candidates.iter().all(|&id| id != victim));
         // Deleting again, or deleting an unknown id, reports not-found.
         assert!(live.with_table_removed(victim).is_none());
@@ -1168,8 +1175,8 @@ mod tests {
 
         for probe in ["country | currency", "country | capital"] {
             let q = Query::parse(probe).unwrap();
-            let a = compacted.answer_query(&q);
-            let o = oracle.answer_query(&q);
+            let a = answer(&compacted, &q);
+            let o = answer(&oracle, &q);
             assert_eq!(a.table, o.table, "{probe}");
             assert_eq!(a.candidates, o.candidates, "{probe}");
             for (x, y) in a
@@ -1238,9 +1245,9 @@ mod tests {
         let live = engine.with_table_added(replacement);
         assert_eq!(live.n_tables(), engine.n_tables());
         let vq = Query::parse("volcano | elevation").unwrap();
-        assert!(live.answer_query(&vq).candidates.contains(&victim));
+        assert!(answer(&live, &vq).candidates.contains(&victim));
         let cq = Query::parse("country | currency").unwrap();
-        let out = live.answer_query(&cq);
+        let out = answer(&live, &cq);
         assert!(
             out.candidates.iter().all(|&id| id != victim),
             "stale frozen copy must not answer: {:?}",
@@ -1262,10 +1269,10 @@ mod tests {
         };
         let serial = build(1);
         let q = Query::parse("country | currency").unwrap();
-        let expected = serial.answer_query(&q);
+        let expected = answer(&serial, &q);
         for threads in [2usize, 8] {
             let parallel = build(threads);
-            let out = parallel.answer_query(&q);
+            let out = answer(&parallel, &q);
             assert_eq!(out.table, expected.table, "threads={threads}");
             assert_eq!(out.candidates, expected.candidates);
             for (x, y) in out

@@ -1,14 +1,12 @@
 //! The online pipeline of paper Figure 2 over one [`Engine`] snapshot:
 //! two index probes (§2.2.1), column mapping (§3–4), consolidation.
+//! Every stage runs under the request's [`ExecCtx`].
 
+use super::exec::ExecCtx;
 use super::Engine;
-use crate::deadline::Deadline;
-use crate::pipeline::WwtConfig;
-use crate::request::{QueryDiagnostics, QueryRequest, QueryResponse};
+use crate::request::{QueryDiagnostics, QueryRequest, QueryResponse, WwtConfig};
 use crate::retrieval::Retrieval;
-use crate::soft::FailSoft;
 use crate::timing::StageTimings;
-use crate::{fan_out, try_fan_out};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,12 +14,13 @@ use wwt_consolidate::{consolidate, RelevantInput};
 use wwt_core::{ColumnMapper, InferenceAlgorithm, MappingResult, TableView};
 use wwt_index::{DocSets, SearchHit, ShardedIndex};
 use wwt_model::{Query, TableId, WebTable, WwtError};
-use wwt_obs::{SpanRecord, Trace};
+use wwt_obs::{SpanRecord, Stage, Trace};
 use wwt_text::{tokenize, TermId};
+
 /// Below this corpus size the scatter-gather runs the shards serially on
 /// the calling thread: spawning workers costs more than probing a tiny
 /// index, and the merged result is identical either way.
-const PARALLEL_PROBE_MIN_DOCS: usize = 4096;
+pub(super) const PARALLEL_PROBE_MIN_DOCS: usize = 4096;
 
 /// How many merge-loop iterations run between deadline checks. Checking
 /// reads the clock, so the loop amortizes it over a batch of cheap
@@ -29,26 +28,28 @@ const PARALLEL_PROBE_MIN_DOCS: usize = 4096;
 /// blow past the budget *inside* a stage.
 const MERGE_DEADLINE_STRIDE: usize = 1024;
 
+/// The name deadline errors and degraded reasons give a probe stage.
+fn probe_name(probe: Stage) -> &'static str {
+    match probe {
+        Stage::Probe1 => "first probe",
+        _ => "second probe",
+    }
+}
+
 impl Engine {
     /// Runs the two-stage candidate retrieval (§2.2.1) with the engine
     /// configuration.
     pub fn retrieve(&self, query: &Query) -> Retrieval {
-        self.retrieve_with(
-            query,
-            &self.config,
-            &Deadline::none(),
-            &Trace::disabled(),
-            &FailSoft::off(),
-        )
-        .map(|(retrieval, _)| retrieval)
-        .expect("retrieval without a deadline cannot time out")
+        self.retrieve_with(query, &self.config, &ExecCtx::default())
+            .map(|(retrieval, _)| retrieval)
+            .expect("retrieval without a deadline cannot time out")
     }
 
     /// One ranked index probe, scattered across the shards on the engine
     /// pool and gathered with the equivalence-preserving merge. Query
     /// tokens are resolved against the global term dictionary **once**
     /// (one string hash per token); every shard worker then scores pure
-    /// ids. Every worker re-checks `deadline` before probing its shard,
+    /// ids. Every worker re-checks the deadline before probing its shard,
     /// so an expired budget abandons the not-yet-probed shards instead of
     /// finishing work nobody will read (a shard search already underway
     /// runs to completion — checks sit on shard boundaries, bounding the
@@ -57,19 +58,15 @@ impl Engine {
     /// Alongside the merged hits, returns each shard's probe wall-clock
     /// (scatter order) — the per-shard view `QueryDiagnostics` surfaces
     /// so scatter-gather stragglers are visible.
-    #[allow(clippy::too_many_arguments)]
     fn probe(
         &self,
         tokens: &[String],
         k: usize,
-        deadline: &Deadline,
-        stage: &'static str,
-        trace: &Trace,
-        label: &'static str,
-        soft: &FailSoft,
+        probe: Stage,
+        ctx: &ExecCtx,
     ) -> Result<(Vec<SearchHit>, Vec<Duration>), WwtError> {
         let Some(overlay) = &self.live else {
-            return self.probe_frozen(tokens, k, deadline, stage, trace, label, soft);
+            return self.probe_frozen(tokens, k, probe, ctx);
         };
         // Live path: over-fetch the frozen shards by the number of
         // shadowed tables (so filtering tombstoned/overridden hits can
@@ -77,13 +74,12 @@ impl Engine {
         // delta segment's hits under the same global total order the
         // shard merge uses.
         let shadowed = overlay.live.shadowed_len();
-        let (mut hits, shard_times) =
-            self.probe_frozen(tokens, k + shadowed, deadline, stage, trace, label, soft)?;
+        let (mut hits, shard_times) = self.probe_frozen(tokens, k + shadowed, probe, ctx)?;
         hits.retain(|h| !overlay.live.is_shadowed(h.table));
         let delta_hits = overlay.live.delta_search(tokens, k);
-        if trace.is_enabled() {
-            trace.note(&format!("{label}_delta_hits"), delta_hits.len().to_string());
-        }
+        ctx.note(format_args!("{}_delta_hits", probe.label()), || {
+            delta_hits.len().to_string()
+        });
         hits.extend(delta_hits);
         hits.sort_by(SearchHit::rank_order);
         hits.truncate(k);
@@ -95,38 +91,32 @@ impl Engine {
     /// deadline expired before — is dropped from the merge with a
     /// recorded reason instead of failing the whole probe; its slot in
     /// the per-shard timing view reads zero.
-    #[allow(clippy::too_many_arguments)]
     fn probe_frozen(
         &self,
         tokens: &[String],
         k: usize,
-        deadline: &Deadline,
-        stage: &'static str,
-        trace: &Trace,
-        label: &'static str,
-        soft: &FailSoft,
+        probe: Stage,
+        ctx: &ExecCtx,
     ) -> Result<(Vec<SearchHit>, Vec<Duration>), WwtError> {
         let ids: Vec<TermId> = self.index.resolve_query(tokens);
         let n = self.index.n_shards();
         let probe_one = |s: usize| -> Result<(Vec<SearchHit>, Duration), WwtError> {
-            deadline.check(stage)?;
+            ctx.check(probe_name(probe))?;
             wwt_chaos::io_failpoint(wwt_chaos::PROBE_SHARD)?;
             let t0 = Instant::now();
             let hits = self.index.shard(s).search_ids(&ids, k);
             Ok((hits, t0.elapsed()))
         };
         if n == 1 {
-            let (hits, elapsed) = match probe_one(0) {
-                Ok(r) => r,
-                Err(e) if soft.is_on() => {
-                    soft.note(format!("{stage}: shard 0 dropped: {e}"));
-                    (Vec::new(), Duration::default())
-                }
-                Err(e) => return Err(e),
-            };
-            if trace.is_enabled() {
-                trace.note(&format!("{label}_shard_hits"), hits.len().to_string());
-            }
+            let (hits, elapsed) = ctx
+                .absorb(
+                    probe_one(0),
+                    format_args!("{}: shard 0 dropped", probe_name(probe)),
+                )?
+                .unwrap_or_default();
+            ctx.note(format_args!("{}_shard_hits", probe.label()), || {
+                hits.len().to_string()
+            });
             return Ok((hits, vec![elapsed]));
         }
         // Tiny corpora probe serially (threads = 1): same scatter order,
@@ -136,61 +126,33 @@ impl Engine {
         } else {
             1
         };
-        // Fail-soft additionally isolates worker *panics* (`try_fan_out`
-        // catches per unit); the strict path keeps the historical
-        // fan-out, where a panic propagates to the service boundary.
-        let per_shard: Vec<Result<(Vec<SearchHit>, Duration), WwtError>> = if soft.is_on() {
-            try_fan_out(n, threads, probe_one)
-                .into_iter()
-                .map(|r| match r {
-                    Ok(inner) => inner,
-                    Err(p) => Err(WwtError::Internal(p.to_string())),
-                })
-                .collect()
-        } else {
-            fan_out(n, threads, probe_one)
-        };
         let mut lists = Vec::with_capacity(n);
         let mut shard_times = Vec::with_capacity(n);
-        for (s, r) in per_shard.into_iter().enumerate() {
-            match r {
-                Ok((hits, elapsed)) => {
+        for (s, r) in ctx.scatter(n, threads, probe_one).into_iter().enumerate() {
+            match ctx.absorb(r, format_args!("{}: shard {s} dropped", probe_name(probe)))? {
+                Some((hits, elapsed)) => {
                     lists.push(hits);
                     shard_times.push(elapsed);
                 }
-                Err(e) if soft.is_on() => {
-                    soft.note(format!("{stage}: shard {s} dropped: {e}"));
-                    shard_times.push(Duration::default());
-                }
-                Err(e) => return Err(e),
+                None => shard_times.push(Duration::default()),
             }
         }
-        if trace.is_enabled() {
+        ctx.note(format_args!("{}_shard_hits", probe.label()), || {
             let per_shard_hits: Vec<String> = lists.iter().map(|l| l.len().to_string()).collect();
-            trace.note(&format!("{label}_shard_hits"), per_shard_hits.join(","));
-        }
-        // Fail-soft merging runs unbudgeted: the hits are already in
-        // hand, and losing them to a stride check would throw away the
-        // partial result the mode exists to save.
-        let merge_deadline = if soft.is_on() {
-            Deadline::none()
-        } else {
-            *deadline
-        };
-        Ok((merge_shard_hits(lists, k, &merge_deadline)?, shard_times))
+            per_shard_hits.join(",")
+        });
+        Ok((merge_shard_hits(lists, k, ctx)?, shard_times))
     }
 
     /// Retrieval plus the stage-1 pre-mapping it computed along the way
     /// (reusable as the final mapping when the second probe adds
-    /// nothing). Fails only when `deadline` expires at the boundary
+    /// nothing). Fails only when the deadline expires at the boundary
     /// between the first and second probe.
     fn retrieve_with(
         &self,
         query: &Query,
         cfg: &WwtConfig,
-        deadline: &Deadline,
-        trace: &Trace,
-        soft: &FailSoft,
+        ctx: &ExecCtx,
     ) -> Result<(Retrieval, MappingResult), WwtError> {
         let mut timing = StageTimings::default();
 
@@ -199,67 +161,42 @@ impl Engine {
         // the index shards.
         let t0 = Instant::now();
         let tokens = tokenize(&query.all_keywords());
-        let (mut hits1, shard_times1) = self.probe(
-            &tokens,
-            cfg.probe1_k,
-            deadline,
-            "first probe",
-            trace,
-            "probe1",
-            soft,
-        )?;
+        let (mut hits1, shard_times1) = self.probe(&tokens, cfg.probe1_k, Stage::Probe1, ctx)?;
         if let Some(best) = hits1.first().map(|h| h.score) {
             hits1.retain(|h| h.score >= best * cfg.score_cutoff_frac);
         }
         timing.index1 = t0.elapsed();
         timing.probe1_shards = shard_times1;
-        if trace.is_enabled() {
-            trace.push_span(probe_span(
-                "probe1",
+        ctx.span(|| {
+            probe_span(
+                Stage::Probe1,
                 timing.index1,
                 &timing.probe1_shards,
                 hits1.len(),
                 cfg.probe1_k,
-            ));
-        }
+            )
+        });
 
         let t0 = Instant::now();
         let stage1: Vec<TableId> = hits1.iter().map(|h| h.table).collect();
         let stage1_set: HashSet<TableId> = stage1.iter().copied().collect();
         let tables1: Vec<&WebTable> = stage1.iter().filter_map(|&id| self.table(id)).collect();
         timing.read1 = t0.elapsed();
-        if trace.is_enabled() {
-            trace.push_span(
-                SpanRecord::new("read1", timing.read1)
-                    .with_detail("tables", tables1.len().to_string()),
-            );
-        }
+        ctx.span(|| {
+            SpanRecord::new(Stage::Read1.label(), timing.read1)
+                .with_detail("tables", tables1.len().to_string())
+        });
 
         // Pre-map stage-1 candidates to find confident seed tables.
+        // Fail-soft: no pre-mapping means no relevance scores — the
+        // second probe loses its seeds and the final map has no premap
+        // to fall back on, but retrieval itself stands.
         let t0 = Instant::now();
-        let mapper = ColumnMapper {
-            config: cfg.mapper.clone(),
-            algorithm: cfg.algorithm,
-            pair_memo: Some(Arc::clone(&self.pair_memo)),
-        };
-        let pre = match self.map_traced(
-            &mapper,
-            query,
-            &tables1,
-            trace,
-            deadline,
-            "column_map:premap",
-        ) {
-            Ok(pre) => pre,
-            Err(e) if soft.is_on() => {
-                // Fail-soft: no pre-mapping means no relevance scores —
-                // the second probe loses its seeds and the final map has
-                // no premap to fall back on, but retrieval itself stands.
-                soft.note(format!("column mapping (premap): {e}"));
-                MappingResult::empty()
-            }
-            Err(e) => return Err(e),
-        };
+        let mapper = self.mapper(cfg, cfg.algorithm);
+        let premapped = self.map_traced(&mapper, query, &tables1, ctx, "column_map:premap");
+        let pre = ctx
+            .absorb(premapped, "column mapping (premap)")?
+            .unwrap_or_else(MappingResult::empty);
         timing.column_map += t0.elapsed();
 
         let mut seeds: Vec<usize> = if pre.labelings.len() == tables1.len() {
@@ -278,20 +215,13 @@ impl Engine {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         seeds.truncate(2);
-        if trace.is_enabled() {
-            trace.note("probe2_seeds", seeds.len().to_string());
-        }
+        ctx.note("probe2_seeds", || seeds.len().to_string());
 
         // Stage boundary: the second probe (and everything after it) is
         // refused once the budget is spent — or, fail-soft, skipped with
         // the stage-1 candidates standing in for the full retrieval.
-        if let Err(e) = deadline.check("second probe") {
-            if soft.is_on() {
-                soft.note("second probe: skipped (deadline exceeded)");
-                seeds.clear();
-            } else {
-                return Err(e);
-            }
+        if ctx.boundary(probe_name(Stage::Probe2), "skipped (deadline exceeded)")? {
+            seeds.clear();
         }
 
         let mut stage2: Vec<TableId> = Vec::new();
@@ -320,44 +250,34 @@ impl Engine {
             // Stage-1 tables re-match their own sampled rows, so search
             // wide enough that they cannot crowd out new tables, then keep
             // the top `probe2_k` *new* content-overlap matches.
-            let (mut hits2, shard_times2) = self.probe(
-                &sample_tokens,
-                cfg.probe2_k + stage1.len(),
-                deadline,
-                "second probe",
-                trace,
-                "probe2",
-                soft,
-            )?;
+            let k2 = cfg.probe2_k + stage1.len();
+            let (mut hits2, shard_times2) = self.probe(&sample_tokens, k2, Stage::Probe2, ctx)?;
             hits2.retain(|h| !stage1_set.contains(&h.table));
             hits2.truncate(cfg.probe2_k);
             timing.index2 = t0.elapsed();
             timing.probe2_shards = shard_times2;
-            if trace.is_enabled() {
-                trace.push_span(probe_span(
-                    "probe2",
+            ctx.span(|| {
+                probe_span(
+                    Stage::Probe2,
                     timing.index2,
                     &timing.probe2_shards,
                     hits2.len(),
                     cfg.probe2_k,
-                ));
-            }
+                )
+            });
             let t0 = Instant::now();
             let mut seen2: HashSet<TableId> = HashSet::with_capacity(hits2.len());
             for (i, h) in hits2.into_iter().enumerate() {
                 // The in-stage check: a giant second-probe candidate set
                 // must not carry the request past its budget between the
                 // stage boundaries.
-                if i % MERGE_DEADLINE_STRIDE == 0 {
-                    if let Err(e) = deadline.check("retrieval merge") {
-                        if soft.is_on() {
-                            soft.note(
-                                "retrieval merge: candidate list truncated (deadline exceeded)",
-                            );
-                            break;
-                        }
-                        return Err(e);
-                    }
+                if i % MERGE_DEADLINE_STRIDE == 0
+                    && ctx.boundary(
+                        "retrieval merge",
+                        "candidate list truncated (deadline exceeded)",
+                    )?
+                {
+                    break;
                 }
                 if seen2.insert(h.table) {
                     stage2.push(h.table);
@@ -388,84 +308,27 @@ impl Engine {
 
     /// [`Engine::answer`] recording into a caller-supplied [`Trace`].
     ///
-    /// A disabled trace makes this exactly `answer` — no clock reads, no
-    /// allocations beyond the untraced path. When the request sets
-    /// `explain` and the caller passed a disabled handle, a local trace
-    /// is enabled so in-process callers get diagnostics too. The
-    /// finished report lands in [`QueryDiagnostics::trace`].
+    /// A disabled trace makes this exactly `answer` — no allocations
+    /// beyond the untraced path. When the request sets `explain` and the
+    /// caller passed a disabled handle, a local trace is enabled so
+    /// in-process callers get diagnostics too. The finished report lands
+    /// in [`QueryDiagnostics::trace`].
     pub fn answer_traced(
         &self,
         request: &QueryRequest,
         trace: &Trace,
     ) -> Result<QueryResponse, WwtError> {
         let cfg = request.options.resolve(&self.config)?;
-        let deadline = Deadline::starting_now(request.options.deadline_ms);
+        let ctx = ExecCtx::new(&request.options, trace);
         // The admission check stays hard even under fail-soft: a budget
         // spent before any work ran has no partial result to salvage.
-        deadline.check("retrieval")?;
-        let soft = FailSoft::from_option(request.options.fail_soft);
-        let local;
-        let trace = if request.options.explain && !trace.is_enabled() {
-            local = Trace::enabled("");
-            &local
-        } else {
-            trace
-        };
-        if !trace.is_enabled() {
-            return self.answer_with(
-                &request.query,
-                &cfg,
-                request.options.max_rows,
-                trace,
-                &deadline,
-                &soft,
-            );
-        }
-        let t0 = Instant::now();
+        ctx.check("retrieval")?;
+        let started = Instant::now();
         if let Some(ms) = request.options.deadline_ms {
-            trace.note("deadline_ms", ms.to_string());
+            ctx.note("deadline_ms", || ms.to_string());
         }
-        let mut response = self.answer_with(
-            &request.query,
-            &cfg,
-            request.options.max_rows,
-            trace,
-            &deadline,
-            &soft,
-        )?;
-        trace.note(
-            "docset_cache_entries",
-            self.docset_cache_entries().to_string(),
-        );
-        response.diagnostics.trace = trace.finish(t0.elapsed());
-        Ok(response)
-    }
-
-    /// Full online pipeline for a bare query with the engine defaults
-    /// (infallible: there are no per-request options to validate and no
-    /// deadline to expire).
-    pub fn answer_query(&self, query: &Query) -> QueryResponse {
-        self.answer_with(
-            query,
-            &self.config,
-            None,
-            &Trace::disabled(),
-            &Deadline::none(),
-            &FailSoft::off(),
-        )
-        .expect("a query without a deadline cannot time out")
-    }
-
-    fn answer_with(
-        &self,
-        query: &Query,
-        cfg: &WwtConfig,
-        max_rows: Option<usize>,
-        trace: &Trace,
-        deadline: &Deadline,
-        soft: &FailSoft,
-    ) -> Result<QueryResponse, WwtError> {
-        let (retrieval, premap) = self.retrieve_with(query, cfg, deadline, trace, soft)?;
+        let query = &request.query;
+        let (retrieval, premap) = self.retrieve_with(query, &cfg, &ctx)?;
         let mut timing = retrieval.timing.clone();
         let mut candidates = retrieval.candidates();
 
@@ -473,15 +336,12 @@ impl Engine {
         // most expensive online stage, so refuse it on a spent budget —
         // or, fail-soft, cut it back to the first-probe candidates the
         // stage-1 pre-mapping already labeled.
-        let mut mapping_cut = false;
-        if let Err(e) = deadline.check("column mapping") {
-            if soft.is_on() {
-                soft.note("column mapping: limited to first-probe candidates (deadline exceeded)");
-                mapping_cut = true;
-                candidates.truncate(retrieval.stage1.len());
-            } else {
-                return Err(e);
-            }
+        let mapping_cut = ctx.boundary(
+            "column mapping",
+            "limited to first-probe candidates (deadline exceeded)",
+        )?;
+        if mapping_cut {
+            candidates.truncate(retrieval.stage1.len());
         }
 
         let t0 = Instant::now();
@@ -499,9 +359,7 @@ impl Engine {
             (retrieval.stage2.is_empty() || mapping_cut) && premap.labelings.len() == tables.len();
         let mut fell_back = false;
         let mapping = if reused_premap {
-            if trace.is_enabled() {
-                trace.note("column_map", "reused premap");
-            }
+            ctx.note("column_map", || "reused premap".to_string());
             premap
         } else {
             let t0 = Instant::now();
@@ -510,37 +368,29 @@ impl Engine {
             // downgrade to independent per-table labeling — a cheaper
             // answer beats none.
             let mut algorithm = cfg.algorithm;
-            if soft.is_on() && deadline.pressured() && algorithm != InferenceAlgorithm::Independent
-            {
-                soft.note(
-                    "column mapping: downgraded to independent inference (deadline pressure)",
+            if ctx.pressured() && algorithm != InferenceAlgorithm::Independent {
+                ctx.degrade(
+                    "column mapping: downgraded to independent inference (deadline pressure)"
+                        .to_string(),
                 );
                 algorithm = InferenceAlgorithm::Independent;
             }
-            let mapper = ColumnMapper {
-                config: cfg.mapper.clone(),
-                algorithm,
-                pair_memo: Some(Arc::clone(&self.pair_memo)),
-            };
-            match self.map_traced(&mapper, query, &tables, trace, deadline, "column_map") {
-                Ok(mapping) => {
-                    timing.column_map += t0.elapsed();
-                    mapping
-                }
-                Err(e) if soft.is_on() => {
-                    timing.column_map += t0.elapsed();
-                    soft.note(format!("column mapping: {e}"));
-                    fell_back = true;
+            let mapper = self.mapper(&cfg, algorithm);
+            let mapped = self.map_traced(&mapper, query, &tables, &ctx, Stage::ColumnMap.label());
+            timing.column_map += t0.elapsed();
+            match ctx.absorb(mapped, "column mapping")? {
+                Some(mapping) => mapping,
+                None => {
                     // Fall back to the stage-1 pre-mapping: candidates
                     // are stage1 ++ stage2 and table reads preserve that
                     // prefix order, so the premap labels exactly the
                     // first `premap.labelings.len()` tables (zero when
                     // the premap itself degraded away).
+                    fell_back = true;
                     tables.truncate(premap.labelings.len());
                     candidates.truncate(tables.len());
                     premap
                 }
-                Err(e) => return Err(e),
             }
         };
         // Diagnostics counters cover every mapper run this request made:
@@ -556,13 +406,7 @@ impl Engine {
         // spent budget (fail-soft: noted and run anyway — it is cheap
         // relative to what is already in hand, and it is the step that
         // turns the surviving candidates into an answer).
-        if let Err(e) = deadline.check("consolidation") {
-            if soft.is_on() {
-                soft.note("consolidation: ran past the deadline");
-            } else {
-                return Err(e);
-            }
-        }
+        ctx.boundary("consolidation", "ran past the deadline")?;
 
         let t0 = Instant::now();
         let inputs: Vec<RelevantInput<'_>> = (0..tables.len())
@@ -575,28 +419,30 @@ impl Engine {
             .collect();
         let mut table = consolidate(query, &inputs);
         timing.consolidate = t0.elapsed();
-        if trace.is_enabled() {
-            trace.push_span(
-                SpanRecord::new("consolidate", timing.consolidate)
-                    .with_detail("relevant_tables", inputs.len().to_string()),
-            );
-            trace.note("candidates", candidates.len().to_string());
-        }
+        ctx.span(|| {
+            SpanRecord::new(Stage::Consolidate.label(), timing.consolidate)
+                .with_detail("relevant_tables", inputs.len().to_string())
+        });
+        ctx.note("candidates", || candidates.len().to_string());
+        ctx.note("docset_cache_entries", || {
+            self.docset_cache_entries().to_string()
+        });
 
         let rows_before_limit = table.len();
-        if let Some(limit) = max_rows {
+        if let Some(limit) = request.options.max_rows {
             table.rows.truncate(limit);
         }
+        let degraded_reasons = ctx.take_reasons();
         let diagnostics = QueryDiagnostics {
             timing,
             probe2_used: retrieval.probe2_used,
             n_candidates: candidates.len(),
             n_relevant: inputs.len(),
             rows_before_limit,
-            trace: None,
+            trace: ctx.finish(started.elapsed()),
             map_stats,
-            degraded: soft.any(),
-            degraded_reasons: soft.take(),
+            degraded: !degraded_reasons.is_empty(),
+            degraded_reasons,
         };
         Ok(QueryResponse {
             table,
@@ -607,13 +453,22 @@ impl Engine {
         })
     }
 
-    /// The column-map batch with optional per-view tracing: disabled
-    /// traces take the untimed pooled path unchanged; enabled traces run
+    /// The column mapper for one request, sharing the engine's pair memo.
+    fn mapper(&self, cfg: &WwtConfig, algorithm: InferenceAlgorithm) -> ColumnMapper {
+        ColumnMapper {
+            config: cfg.mapper.clone(),
+            algorithm,
+            pair_memo: Some(Arc::clone(&self.pair_memo)),
+        }
+    }
+
+    /// The column-map batch with optional per-view tracing: untraced
+    /// requests take the untimed pooled path unchanged; traced ones run
     /// the timed variant (identical output) and record a span carrying
     /// one child per view — a deterministic prefix in candidate order,
     /// so traces of the same request are structurally stable run to run.
     ///
-    /// The batch runs under `deadline` with in-stage granularity: the
+    /// The batch runs under the deadline with in-stage granularity: the
     /// cancel hook is consulted once per view inside the node-potential
     /// loop and once per table during edge construction, so a giant
     /// candidate set cannot carry the request far past its budget
@@ -624,15 +479,14 @@ impl Engine {
         mapper: &ColumnMapper,
         query: &Query,
         tables: &[&WebTable],
-        trace: &Trace,
-        deadline: &Deadline,
+        ctx: &ExecCtx,
         span_name: &'static str,
     ) -> Result<MappingResult, WwtError> {
         wwt_chaos::io_failpoint(wwt_chaos::MAP_BATCH)?;
         let views = self.views_for(tables);
-        let check = || deadline.check("column mapping");
+        let check = || ctx.check("column mapping");
         let cancel: Option<&(dyn Fn() -> Result<(), WwtError> + Sync)> = Some(&check);
-        if !trace.is_enabled() {
+        if !ctx.traced() {
             return mapper.map_views_cancellable(
                 query,
                 &views,
@@ -651,17 +505,19 @@ impl Engine {
             self.map_threads,
             cancel,
         )?;
-        let mut span = SpanRecord::new(span_name, t0.elapsed())
-            .with_detail("views", tables.len().to_string())
-            .with_detail("threads", self.map_threads.to_string());
-        const MAX_VIEW_CHILDREN: usize = 8;
-        for (i, elapsed) in view_times.iter().take(MAX_VIEW_CHILDREN).enumerate() {
-            span = span.with_child(SpanRecord::new(
-                format!("view:{}", tables[i].id.0),
-                *elapsed,
-            ));
-        }
-        trace.push_span(span);
+        ctx.span(|| {
+            let mut span = SpanRecord::new(span_name, t0.elapsed())
+                .with_detail("views", tables.len().to_string())
+                .with_detail("threads", self.map_threads.to_string());
+            const MAX_VIEW_CHILDREN: usize = 8;
+            for (i, elapsed) in view_times.iter().take(MAX_VIEW_CHILDREN).enumerate() {
+                span = span.with_child(SpanRecord::new(
+                    format!("view:{}", tables[i].id.0),
+                    *elapsed,
+                ));
+            }
+            span
+        });
         Ok(mapping)
     }
 
@@ -741,13 +597,13 @@ impl Engine {
 /// one child span per shard (scatter order, matching the
 /// `probe*_shards` diagnostics), and the hit/k accounting.
 fn probe_span(
-    name: &'static str,
+    stage: Stage,
     elapsed: Duration,
     shard_times: &[Duration],
     hits: usize,
     k: usize,
 ) -> SpanRecord {
-    let mut span = SpanRecord::new(name, elapsed)
+    let mut span = SpanRecord::new(stage.label(), elapsed)
         .with_detail("hits", hits.to_string())
         .with_detail("k", k.to_string());
     for (s, t) in shard_times.iter().enumerate() {
@@ -756,19 +612,22 @@ fn probe_span(
     span
 }
 
-/// Merges per-shard top-k hit lists under the request deadline: the
-/// equivalence-preserving total-order merge of
-/// [`ShardedIndex::merge_hits`], with the budget re-checked every
-/// [`MERGE_DEADLINE_STRIDE`] candidates so an enormous gathered set
-/// cannot stall the request between stage boundaries.
+/// Merges per-shard top-k hit lists: the equivalence-preserving
+/// total-order merge of [`ShardedIndex::merge_hits`], refused once the
+/// deadline has passed so an enormous gathered set cannot stall the
+/// request between stage boundaries. Fail-soft merges unbudgeted: the
+/// hits are already in hand, and losing them here would throw away the
+/// partial result the mode exists to save.
 pub(super) fn merge_shard_hits(
     lists: Vec<Vec<SearchHit>>,
     k: usize,
-    deadline: &Deadline,
+    ctx: &ExecCtx,
 ) -> Result<Vec<SearchHit>, WwtError> {
     // One check guards the whole merge (the sort is its only expensive
     // block); the merge itself is exactly the facade's, so the ranking
     // can never drift from what `ShardedIndex::search` produces.
-    deadline.check("retrieval merge")?;
+    if !ctx.fail_soft() {
+        ctx.check("retrieval merge")?;
+    }
     Ok(ShardedIndex::merge_hits(lists, k))
 }

@@ -3,7 +3,7 @@
 
 use crate::baselines::{baseline_map, BaselineConfig, BaselineMethod};
 use crate::engine::Engine;
-use crate::pipeline::WwtConfig;
+use crate::request::WwtConfig;
 use wwt_core::{f1_error, ColumnMapper, InferenceAlgorithm, SimilarityMode};
 use wwt_corpus::{GeneratedCorpus, QuerySpec};
 use wwt_html::extract_tables;

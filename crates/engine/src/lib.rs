@@ -16,39 +16,37 @@
 //!   truth and computing the F1 error per method (the machinery behind
 //!   every table and figure reproduction in `wwt-bench`).
 //!
-//! Build with [`EngineBuilder`], serve through `wwt-service`'s
-//! `TableSearchService` (or over HTTP via `wwt-server`). The pre-0.2
-//! `Wwt` facade and its `QueryOutcome` shape are gone: build via
-//! [`EngineBuilder`] and answer via [`Engine::answer`] /
-//! [`Engine::answer_query`] instead.
+//! Build with [`EngineBuilder`], answer with [`Engine::answer`] (or
+//! [`Engine::answer_traced`] to record into a caller's [`Trace`]), and
+//! serve through `wwt-service`'s `TableSearchService` (or over HTTP via
+//! `wwt-server`). Each request runs under one execution context built
+//! from its [`QueryOptions`]: it owns the request's deadline, trace and
+//! fail-soft reasons, and applies the deadline check, the fail-soft
+//! fallback and the span recording at every stage.
 
 pub mod baselines;
-pub mod deadline;
+mod deadline;
 pub mod engine;
 pub mod evaluate;
-pub mod pipeline;
 pub mod request;
 pub mod retrieval;
-pub mod soft;
 pub mod timing;
 
 pub use baselines::{baseline_map, BaselineConfig, BaselineMethod};
-pub use deadline::Deadline;
 pub use engine::{default_shards, Engine, EngineBuilder, EngineMutation};
 pub use evaluate::{
     bind_corpus, bind_corpus_sharded, evaluate_query, evaluate_query_with, evaluate_workload,
     evaluate_workload_with, BoundCorpus, Method, QueryEvaluation,
 };
-pub use pipeline::WwtConfig;
-pub use request::{QueryDiagnostics, QueryOptions, QueryRequest, QueryResponse};
+pub use request::{QueryDiagnostics, QueryOptions, QueryRequest, QueryResponse, WwtConfig};
 pub use retrieval::Retrieval;
-pub use soft::FailSoft;
 pub use timing::StageTimings;
 // The indexed fan-out the probe scatter, the evaluation harness and the
 // service layer's `answer_batch` go through.
 pub use wwt_pool::{fan_out, try_fan_out};
-// Re-exported so `answer_traced` callers need no direct wwt-obs dep.
-pub use wwt_obs::{Trace, TraceReport};
+// Re-exported so callers of `answer_traced` and `StageTimings::stages`
+// need no direct wwt-obs dep.
+pub use wwt_obs::{Stage, Trace, TraceReport};
 
 #[cfg(test)]
 mod tests {

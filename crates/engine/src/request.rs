@@ -5,13 +5,59 @@
 //! engine answers it with a [`QueryResponse`] bundling the consolidated
 //! answer, the column mapping, the named [`Retrieval`] and
 //! [`QueryDiagnostics`] (per-stage timings and candidate counts).
+//! [`WwtConfig`] holds the build-time defaults the options override.
 
-use crate::pipeline::WwtConfig;
 use crate::retrieval::Retrieval;
 use crate::timing::StageTimings;
-use wwt_core::{InferenceAlgorithm, MappingResult};
+use wwt_core::{InferenceAlgorithm, MapperConfig, MappingResult};
 use wwt_model::{AnswerTable, Query, QueryParseError, TableId, WwtError};
 use wwt_obs::TraceReport;
+
+/// Engine configuration.
+#[derive(Debug, Clone)]
+pub struct WwtConfig {
+    /// Column-mapper configuration (weights, thresholds).
+    pub mapper: MapperConfig,
+    /// Collective inference algorithm.
+    pub algorithm: InferenceAlgorithm,
+    /// Candidates retrieved by the first index probe.
+    pub probe1_k: usize,
+    /// New candidates admitted by the second index probe (top content
+    /// overlap matches only; a small cap keeps sampled-row noise out).
+    pub probe2_k: usize,
+    /// Relevance-probability bar for the "top-two tables with very high
+    /// relevance score" that seed the second probe (§2.2.1).
+    pub high_relevance: f64,
+    /// Rows sampled from each confident table for the second probe
+    /// (paper: 10).
+    pub sample_rows: usize,
+    /// Probe hits scoring below this fraction of the best hit's score are
+    /// dropped (keeps weak single-keyword matches from flooding the
+    /// candidate set).
+    pub score_cutoff_frac: f64,
+    /// Precompute every table's feature view (tokenized headers, TF-IDF
+    /// vectors, value sets) once at engine bind instead of per query —
+    /// the answers are byte-identical either way (the computation is
+    /// deterministic), only *when* it runs changes. On by default; the
+    /// differential tests switch it off to drive the per-query oracle
+    /// path.
+    pub precompute_views: bool,
+}
+
+impl Default for WwtConfig {
+    fn default() -> Self {
+        WwtConfig {
+            mapper: MapperConfig::default(),
+            algorithm: InferenceAlgorithm::TableCentric,
+            probe1_k: 60,
+            probe2_k: 12,
+            high_relevance: 0.75,
+            sample_rows: 10,
+            score_cutoff_frac: 0.34,
+            precompute_views: true,
+        }
+    }
+}
 
 /// Per-request overrides of the engine configuration. `None` means "use
 /// the engine default"; see [`WwtConfig`] for the semantics of each knob.

@@ -3,6 +3,7 @@
 //! read, column mapping, consolidation).
 
 use std::time::Duration;
+use wwt_obs::Stage;
 
 /// Wall-clock time spent in each online stage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -33,15 +34,16 @@ impl StageTimings {
         self.index1 + self.read1 + self.index2 + self.read2 + self.column_map + self.consolidate
     }
 
-    /// The stage durations in Figure 7's stacking order, with labels.
-    pub fn stacked(&self) -> [(&'static str, Duration); 6] {
+    /// The stage durations in Figure 7's stacking order, each with its
+    /// stage: the one list the stage histograms and recorded traces use.
+    pub fn stages(&self) -> [(Stage, Duration); 6] {
         [
-            ("1st Index", self.index1),
-            ("1st Table Read", self.read1),
-            ("2nd Index", self.index2),
-            ("2nd Table Read", self.read2),
-            ("Column Map", self.column_map),
-            ("Consolidate", self.consolidate),
+            (Stage::Probe1, self.index1),
+            (Stage::Read1, self.read1),
+            (Stage::Probe2, self.index2),
+            (Stage::Read2, self.read2),
+            (Stage::ColumnMap, self.column_map),
+            (Stage::Consolidate, self.consolidate),
         ]
     }
 }
@@ -62,9 +64,10 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(t.total(), Duration::from_millis(50));
-        let stacked = t.stacked();
-        assert_eq!(stacked.len(), 6);
-        assert_eq!(stacked[4].0, "Column Map");
+        let stages = t.stages();
+        assert_eq!(stages[4], (Stage::ColumnMap, Duration::from_millis(20)));
+        let sum: Duration = stages.iter().map(|(_, d)| *d).sum();
+        assert_eq!(sum, t.total());
     }
 
     #[test]

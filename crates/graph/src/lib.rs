@@ -20,7 +20,7 @@
 //! * [`alpha`] — α-expansion (Boykov–Veksler–Zabih) with the paper's
 //!   modification: mutex-constrained moves via [`constrained_cut`].
 //! * [`bp`] — loopy max-product belief propagation (log domain, damped).
-//! * [`trws`] — sequential tree-reweighted message passing (TRW-S).
+//! * [`mod@trws`] — sequential tree-reweighted message passing (TRW-S).
 
 pub mod alpha;
 pub mod assignment;

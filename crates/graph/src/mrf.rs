@@ -2,7 +2,7 @@
 //!
 //! The column-mapping objective (paper Eq. 9) is a sum of node potentials
 //! and pairwise edge potentials to *maximize*. This module holds the
-//! assembled model; [`crate::alpha`], [`crate::bp`] and [`crate::trws`]
+//! assembled model; [`crate::alpha`], [`crate::bp`] and [`mod@crate::trws`]
 //! run approximate MAP inference on it, and [`PairwiseMrf::brute_force_map`]
 //! provides the exact reference for small instances.
 //!

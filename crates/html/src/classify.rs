@@ -18,7 +18,7 @@ pub enum Rejection {
     /// Fewer than 2 rows.
     TooFewRows,
     /// Fewer than 2 columns: vertical lists are out of scope (handled by
-    /// the authors' earlier list-extraction system, ref [9]).
+    /// the authors' earlier list-extraction system, ref \[9\]).
     TooFewCols,
     /// Row widths too inconsistent — typical of layout scaffolding.
     RaggedLayout,

@@ -80,7 +80,7 @@ impl TableStore {
         Ok(())
     }
 
-    /// Reads a store written by [`save`].
+    /// Reads a store written by [`TableStore::save`].
     pub fn load(path: &Path) -> Result<Self, WwtError> {
         let r = BufReader::new(std::fs::File::open(path)?);
         let mut s = Self::new();

@@ -82,7 +82,8 @@ pub fn log_enabled(level: LogLevel) -> bool {
 }
 
 /// Emits one event line to stderr (already-formatted message). Prefer
-/// the [`log!`] macro, which skips formatting for suppressed levels.
+/// the [`log!`](crate::log!) macro, which skips formatting for
+/// suppressed levels.
 pub fn log_event(level: LogLevel, target: &str, request_id: Option<&str>, message: &str) {
     if !log_enabled(level) {
         return;

@@ -3,10 +3,10 @@
 //! batch) plus key/value notes, and snapshots into a [`TraceReport`].
 //!
 //! The disabled handle holds no allocation and every method on it
-//! returns immediately without reading the clock — mirroring
-//! `Deadline::none()` — so threading a `&Trace` through the query
-//! pipeline is free unless a caller opted in. Callers that would have
-//! to *format* a note value must guard on [`Trace::is_enabled`] so the
+//! returns immediately without reading the clock, so the engine's
+//! per-request execution context carries one through the query pipeline
+//! for free unless a caller opted in. Callers that would have to
+//! *format* a note value must guard on [`Trace::is_enabled`] so the
 //! formatting itself is skipped too.
 
 use std::sync::{Arc, Mutex};

@@ -7,7 +7,10 @@
 //! so an accept flood cannot grow memory without limit; keep-alive
 //! connections are additionally bounded by a per-connection request cap
 //! and the idle read timeout, so slow clients cannot pin workers
-//! forever. Shutdown is graceful by construction: the acceptor stops
+//! forever. A worker that finishes a request while another connection
+//! waits in the queue with no worker free puts its keep-alive
+//! connection back at the end of the queue and takes the waiting one,
+//! so busy clients cannot starve a new one (an operator's scrape). Shutdown is graceful by construction: the acceptor stops
 //! accepting and drops the channel sender, workers finish every request
 //! already accepted — in-flight and queued — and then exit on channel
 //! disconnect; [`ServerHandle::shutdown`] joins them all before
@@ -19,7 +22,7 @@ use crate::source::EngineSource;
 use crate::wire;
 use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -70,7 +73,8 @@ pub struct ServerConfig {
     /// this the acceptor answers 503 and closes instead of queueing
     /// without bound.
     pub pending_connections: usize,
-    /// Requests served on one keep-alive connection before the server
+    /// Requests served on one keep-alive connection in a row (a hand-off
+    /// to a waiting connection restarts the count) before the server
     /// closes it, so a long-lived client cannot pin a worker of the
     /// fixed pool indefinitely.
     pub max_requests_per_connection: usize,
@@ -150,7 +154,15 @@ struct Shared {
     compacting: AtomicBool,
     /// Query/batch requests currently being dispatched, gated by
     /// `config.max_concurrent_queries`.
-    queries_in_flight: std::sync::atomic::AtomicUsize,
+    queries_in_flight: AtomicUsize,
+    /// The sending half of the connection queue, shared by the acceptor
+    /// and the workers that hand a keep-alive connection back. The
+    /// acceptor drops it on exit, so workers drain the queue and stop.
+    queue: Mutex<Option<SyncSender<TcpStream>>>,
+    /// Connections waiting in the queue for a worker.
+    queued_connections: AtomicUsize,
+    /// Workers waiting for a connection.
+    idle_workers: AtomicUsize,
 }
 
 /// Acquired slots of the query-concurrency budget; released on drop
@@ -184,6 +196,28 @@ fn reject_at_capacity(shared: &Shared, route: Route) -> (Route, u16, &'static st
 impl Shared {
     fn stopping(&self) -> bool {
         self.stopping.load(Ordering::SeqCst)
+    }
+
+    /// Queues a connection for the workers, or gives it back when the
+    /// queue is full or closed.
+    fn enqueue(&self, stream: TcpStream) -> Result<(), TrySendError<TcpStream>> {
+        let queue = self.queue.lock().unwrap();
+        let Some(tx) = queue.as_ref() else {
+            return Err(TrySendError::Disconnected(stream));
+        };
+        self.queued_connections.fetch_add(1, Ordering::SeqCst);
+        tx.try_send(stream).inspect_err(|_| {
+            self.queued_connections.fetch_sub(1, Ordering::SeqCst);
+        })
+    }
+
+    /// True while a connection waits in the queue and every worker is
+    /// busy. Idle is read first: a worker taking a connection leaves the
+    /// queue count before the idle count, so a hand-off in progress never
+    /// reads as a wait.
+    fn connection_waiting(&self) -> bool {
+        self.idle_workers.load(Ordering::SeqCst) == 0
+            && self.queued_connections.load(Ordering::SeqCst) > 0
     }
 
     /// Tries to take `weight` slots of the query-concurrency budget
@@ -292,6 +326,10 @@ pub fn serve(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
+    // Bounded: an accept flood beyond the backlog is answered 503 and
+    // dropped instead of queueing connections without limit.
+    let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
+        mpsc::sync_channel(config.pending_connections.max(1));
     let shared = Arc::new(Shared {
         service,
         metrics: Metrics::new(),
@@ -302,13 +340,12 @@ pub fn serve(
         reloading: AtomicBool::new(false),
         last_reload_error: Mutex::new(None),
         compacting: AtomicBool::new(false),
-        queries_in_flight: std::sync::atomic::AtomicUsize::new(0),
+        queries_in_flight: AtomicUsize::new(0),
+        queue: Mutex::new(Some(tx)),
+        queued_connections: AtomicUsize::new(0),
+        idle_workers: AtomicUsize::new(0),
     });
 
-    // Bounded: an accept flood beyond the backlog is answered 503 and
-    // dropped instead of queueing connections without limit.
-    let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-        mpsc::sync_channel(shared.config.pending_connections.max(1));
     let rx = Arc::new(Mutex::new(rx));
 
     let workers = (0..shared.config.workers.max(1))
@@ -332,8 +369,6 @@ pub fn serve(
         std::thread::Builder::new()
             .name("wwt-http-accept".to_string())
             .spawn(move || {
-                // `tx` lives in this thread: when the loop breaks, the
-                // sender drops and workers drain out.
                 while !shared.stopping() {
                     match listener.accept() {
                         Ok((stream, _)) => {
@@ -341,7 +376,7 @@ pub fn serve(
                             if stream.set_nonblocking(false).is_err() {
                                 continue;
                             }
-                            match tx.try_send(stream) {
+                            match shared.enqueue(stream) {
                                 Ok(()) => {}
                                 Err(TrySendError::Full(mut stream)) => {
                                     // Backpressure: tell the client to
@@ -394,6 +429,8 @@ pub fn serve(
                         Err(_) => std::thread::sleep(Duration::from_millis(1)),
                     }
                 }
+                // Dropping the only sender lets workers drain out.
+                *shared.queue.lock().unwrap() = None;
             })
             .expect("spawn http acceptor")
     };
@@ -407,11 +444,14 @@ pub fn serve(
 
 fn worker_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<TcpStream>>) {
     loop {
+        shared.idle_workers.fetch_add(1, Ordering::SeqCst);
         // Lock only for the `recv` itself; handling runs unlocked.
         let stream = match rx.lock().unwrap().recv() {
             Ok(stream) => stream,
             Err(_) => break, // acceptor gone and queue drained
         };
+        shared.queued_connections.fetch_sub(1, Ordering::SeqCst);
+        shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
         handle_connection(shared, stream);
     }
 }
@@ -529,6 +569,15 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             || !keep_alive
         {
             return;
+        }
+        // A connection waits for a busy pool: hand this one back to the
+        // end of the queue and take the waiting one — unless the client
+        // already sent more bytes, which the reader's buffer would lose.
+        if reader.buffer().is_empty() && shared.connection_waiting() {
+            match shared.enqueue(stream) {
+                Ok(()) => return,
+                Err(TrySendError::Full(s) | TrySendError::Disconnected(s)) => stream = s,
+            }
         }
     }
 }
@@ -661,15 +710,7 @@ fn dispatch(
                                 // only for runs this request performed,
                                 // so cached bytes never re-observe the
                                 // pipeline that originally built them.
-                                let t = &response.diagnostics.timing;
-                                for (stage, elapsed) in [
-                                    (Stage::Probe1, t.index1),
-                                    (Stage::Read1, t.read1),
-                                    (Stage::Probe2, t.index2),
-                                    (Stage::Read2, t.read2),
-                                    (Stage::ColumnMap, t.column_map),
-                                    (Stage::Consolidate, t.consolidate),
-                                ] {
+                                for (stage, elapsed) in response.diagnostics.timing.stages() {
                                     shared.metrics.observe_stage(stage, elapsed);
                                 }
                             } else {

@@ -459,6 +459,55 @@ fn keep_alive_connections_are_rotated_after_the_request_cap() {
 }
 
 #[test]
+fn a_waiting_connection_is_served_while_keep_alive_clients_stay_busy() {
+    // Two workers, two clients looping keep-alive requests, and no
+    // request cap to rotate them out: a third connection (an operator's
+    // scrape) must still be answered promptly instead of waiting in the
+    // accept queue until a busy client lets go.
+    let config = ServerConfig {
+        workers: 2,
+        max_requests_per_connection: usize::MAX,
+        ..ServerConfig::default()
+    };
+    let handle = serve(tiny_service(), config).unwrap();
+    let addr = handle.addr();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let busy_until = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let waited = std::thread::scope(|scope| {
+        for _ in 0..2 {
+            let stop = &stop;
+            scope.spawn(move || {
+                let mut client = HttpClient::connect(addr).unwrap();
+                while !stop.load(std::sync::atomic::Ordering::Relaxed)
+                    && std::time::Instant::now() < busy_until
+                {
+                    // A closed connection (the server hands the worker to
+                    // the waiting one) is reopened, as a real client would.
+                    match client.get("/healthz") {
+                        Ok(r) if r.header("connection") != Some("close") => {}
+                        _ => client = HttpClient::connect(addr).unwrap(),
+                    }
+                }
+            });
+        }
+        // Let both busy clients take a worker each.
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let t0 = std::time::Instant::now();
+        let mut scrape = HttpClient::connect(addr).unwrap();
+        let status = scrape.get("/healthz").map(|r| r.status);
+        let waited = t0.elapsed();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(status.ok(), Some(200));
+        waited
+    });
+    assert!(
+        waited < std::time::Duration::from_secs(2),
+        "a new connection waited {waited:?} behind busy keep-alive clients"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn accept_queue_overflow_answers_503_instead_of_queueing_unbounded() {
     // One worker and a one-slot queue. Idle keep-alive connections never
     // send a request, so the worker pins on the first one (until its

@@ -42,7 +42,7 @@ use wwt_engine::{Engine, QueryRequest, QueryResponse};
 use wwt_index::{table_to_json, Journal, JournalRecord};
 use wwt_model::{TableId, WebTable, WwtError};
 pub use wwt_obs::{FlightRecord, QueryOutcome, RecorderConfig, RecorderCounters};
-use wwt_obs::{FlightRecorder, SpanRecord, Trace, TraceReport};
+use wwt_obs::{FlightRecorder, SpanRecord, Stage, Trace, TraceReport};
 
 /// Serving knobs.
 #[derive(Debug, Clone)]
@@ -238,6 +238,8 @@ enum CachePath {
     Leader,
     /// Ran the engine after an abandoned flight (no coalescing).
     Fallback,
+    /// Ran the engine for an `explain` request, past cache and flights.
+    Bypass,
 }
 
 impl CachePath {
@@ -247,6 +249,7 @@ impl CachePath {
             CachePath::Shared => "shared",
             CachePath::Leader => "miss (leader)",
             CachePath::Fallback => "miss (fallback)",
+            CachePath::Bypass => "bypass (explain)",
         }
     }
 }
@@ -545,55 +548,51 @@ impl TableSearchService {
     /// belongs to the one generation the caller observed, even while a
     /// concurrent [`TableSearchService::reload`] swaps the slot.
     pub fn answer(&self, request: &QueryRequest) -> Result<Arc<QueryResponse>, WwtError> {
-        self.answer_path(request).map(|(response, _)| response)
+        self.answer_path(&self.slot.load(), request)
+            .map(|(response, _)| response)
     }
 
-    /// [`answer`](TableSearchService::answer) plus which serving path
-    /// produced the response, for the flight recorder.
+    /// [`answer`](TableSearchService::answer) against a pinned snapshot,
+    /// plus which serving path produced the response, for the flight
+    /// recorder.
     fn answer_path(
         &self,
+        snapshot: &EngineSnapshot,
         request: &QueryRequest,
     ) -> Result<(Arc<QueryResponse>, CachePath), WwtError> {
-        let snapshot = self.slot.load();
         let key = format!("g{}\u{1f}{}", snapshot.generation, request.cache_key());
         if let Some(hit) = self.cache_get(&key) {
             self.counters.hits.inc();
             return Ok((hit, CachePath::Hit));
         }
-        match self.inflight.join(&key, || self.cache_get(&key)) {
+        let (flight, path) = match self.inflight.join(&key, || self.cache_get(&key)) {
             Role::Cached(hit) => {
                 self.counters.hits.inc();
-                Ok((hit, CachePath::Hit))
+                return Ok((hit, CachePath::Hit));
             }
             Role::Shared(Some(shared)) => {
                 self.counters.coalesced.inc();
-                Ok((shared, CachePath::Shared))
+                return Ok((shared, CachePath::Shared));
             }
             // The leader failed (or unwound); coalescing is best-effort,
             // so compute directly — error paths fail fast anyway.
-            Role::Shared(None) => self
-                .run_engine(&snapshot, request, &key)
-                .map(|response| (response, CachePath::Fallback)),
-            Role::Leader(guard) => match self.execute(&snapshot, request, &Trace::disabled()) {
-                Ok(response) => {
-                    let response = Arc::new(response);
-                    self.counters.misses.inc();
-                    // The cache insert happens while the flight closes, so
-                    // late joiners either share the flight or hit the cache
-                    // in their recheck — never a second engine run.
-                    guard.publish(Some(Arc::clone(&response)), || {
-                        if let Some(cache) = &self.cache {
-                            cache.insert(key.clone(), Arc::clone(&response));
-                        }
-                    });
-                    Ok((response, CachePath::Leader))
-                }
-                Err(e) => {
-                    guard.publish(None, || {});
-                    Err(e)
-                }
-            },
+            Role::Shared(None) => (None, CachePath::Fallback),
+            Role::Leader(guard) => (Some(guard), CachePath::Leader),
+        };
+        let result = self.run(snapshot, request, &Trace::disabled());
+        let insert = || {
+            if let (Ok(response), Some(cache)) = (&result, &self.cache) {
+                cache.insert(key.clone(), Arc::clone(response));
+            }
+        };
+        match flight {
+            // The cache insert happens while the flight closes, so late
+            // joiners either share the flight or hit the cache in their
+            // recheck — never a second engine run.
+            Some(guard) => guard.publish(result.as_ref().ok().cloned(), insert),
+            None => insert(),
         }
+        result.map(|response| (response, path))
     }
 
     /// Answers one request under the flight recorder's watch, stamping it
@@ -612,71 +611,55 @@ impl TableSearchService {
     ///   stage-level trace is synthesized from the response's
     ///   [`StageTimings`](wwt_engine::StageTimings) for the recorder.
     ///
-    /// Every query lands in the flight recorder: the N slowest and N most
-    /// recent are retained, and deadline-exceeded / zero-result queries
-    /// are additionally kept in the anomaly buffer.
+    /// Every query lands in the flight recorder, stamped with the
+    /// generation of the snapshot that answered it: the N slowest and N
+    /// most recent are retained, and deadline-exceeded / zero-result
+    /// queries are additionally kept in the anomaly buffer.
     pub fn answer_observed(
         &self,
         request: &QueryRequest,
         request_id: &str,
     ) -> Result<ObservedAnswer, WwtError> {
         let t0 = Instant::now();
-        if request.options.explain {
-            let snapshot = self.slot.load();
+        let snapshot = self.slot.load();
+        let result = if request.options.explain {
             let trace = Trace::enabled(request_id);
-            trace.note("cache", "bypass (explain)");
+            trace.note("cache", CachePath::Bypass.label());
             trace.note("generation", snapshot.generation.to_string());
-            return match self.execute(&snapshot, request, &trace) {
-                Ok(response) => {
-                    self.counters.misses.inc();
-                    let response = Arc::new(response);
-                    self.record_flight(request, request_id, t0.elapsed(), Ok(&response), None);
-                    Ok(ObservedAnswer {
-                        response,
-                        engine_ran: true,
-                    })
-                }
-                Err(e) => {
-                    self.record_flight(request, request_id, t0.elapsed(), Err(&e), None);
-                    Err(e)
-                }
-            };
-        }
-        match self.answer_path(request) {
-            Ok((response, path)) => {
-                self.record_flight(request, request_id, t0.elapsed(), Ok(&response), Some(path));
-                Ok(ObservedAnswer {
-                    response,
-                    engine_ran: matches!(path, CachePath::Leader | CachePath::Fallback),
-                })
-            }
-            Err(e) => {
-                self.record_flight(request, request_id, t0.elapsed(), Err(&e), None);
-                Err(e)
-            }
-        }
+            self.run(&snapshot, request, &trace)
+                .map(|response| (response, CachePath::Bypass))
+        } else {
+            self.answer_path(&snapshot, request)
+        };
+        let elapsed = t0.elapsed();
+        self.record_flight(request, request_id, snapshot.generation, elapsed, &result);
+        result.map(|(response, path)| ObservedAnswer {
+            response,
+            engine_ran: !matches!(path, CachePath::Hit | CachePath::Shared),
+        })
     }
 
-    /// Captures one finished query in the flight recorder.
+    /// Captures one finished query, answered by engine `generation`, in
+    /// the flight recorder.
     fn record_flight(
         &self,
         request: &QueryRequest,
         request_id: &str,
+        generation: u64,
         elapsed: Duration,
-        result: Result<&Arc<QueryResponse>, &WwtError>,
-        path: Option<CachePath>,
+        result: &Result<(Arc<QueryResponse>, CachePath), WwtError>,
     ) {
         let (outcome, rows) = match result {
-            Ok(response) if response.table.is_empty() => (QueryOutcome::ZeroResults, 0),
-            Ok(response) => (QueryOutcome::Ok, response.table.len()),
+            Ok((response, _)) if response.table.is_empty() => (QueryOutcome::ZeroResults, 0),
+            Ok((response, _)) => (QueryOutcome::Ok, response.table.len()),
             Err(WwtError::DeadlineExceeded(_)) => (QueryOutcome::DeadlineExceeded, 0),
             Err(_) => (QueryOutcome::Error, 0),
         };
         let trace = match result {
             // An explain run already carries its own full trace.
-            Ok(response) => match &response.diagnostics.trace {
+            Ok((response, path)) => match &response.diagnostics.trace {
                 Some(report) => report.clone(),
-                None => synthetic_trace(request_id, response, path, elapsed),
+                None => synthetic_trace(request_id, response, *path, elapsed),
             },
             Err(e) => error_trace(request_id, e, elapsed),
         };
@@ -686,7 +669,7 @@ impl TableSearchService {
             query: request.query.to_string(),
             duration_us: elapsed.as_micros() as u64,
             outcome,
-            generation: self.slot.generation(),
+            generation,
             rows,
             trace,
         });
@@ -718,72 +701,52 @@ impl TableSearchService {
         self.cache.as_ref().and_then(|cache| cache.get(key))
     }
 
-    /// Runs one engine call behind a panic barrier. A pipeline panic
-    /// (a poisoned shard worker, an injected `probe.shard=panic`, a
-    /// plain bug) becomes [`WwtError::Internal`] instead of unwinding
-    /// into the serving stack — so a singleflight leader still closes
-    /// its flight with an explicit failure and an HTTP worker answers
-    /// 500 instead of dying. Every caught panic ticks
+    /// The one engine run: `request` against a pinned snapshot,
+    /// recording into `trace` (disabled on the cached path, enabled for
+    /// explain), behind a panic barrier and with the serving counters
+    /// maintained.
+    ///
+    /// A pipeline panic (a poisoned shard worker, an injected
+    /// `probe.shard=panic`, a plain bug) becomes [`WwtError::Internal`]
+    /// instead of unwinding into the serving stack — so a singleflight
+    /// leader still closes its flight with an explicit failure and an
+    /// HTTP worker answers 500 instead of dying. Every caught panic ticks
     /// [`ServiceStats::internal_errors`]; the error text carries the
     /// panic message so `/flights` anomalies stay attributable.
-    fn run_isolated(
-        &self,
-        f: impl FnOnce() -> Result<QueryResponse, WwtError>,
-    ) -> Result<QueryResponse, WwtError> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            Ok(result) => result,
-            Err(payload) => {
-                self.counters.internal_errors.inc();
-                Err(WwtError::Internal(format!(
-                    "query pipeline panicked: {}",
-                    wwt_pool::panic_message(payload.as_ref())
-                )))
-            }
-        }
-    }
-
-    /// One engine execution against a pinned snapshot, recording into
-    /// `trace` (disabled on the cached path, enabled for explain), with
-    /// the deadline, degraded and mapper counters maintained and panics
-    /// isolated.
-    fn execute(
+    fn run(
         &self,
         snapshot: &EngineSnapshot,
         request: &QueryRequest,
         trace: &Trace,
-    ) -> Result<QueryResponse, WwtError> {
-        let result = self.run_isolated(|| snapshot.engine.answer_traced(request, trace));
-        if matches!(result, Err(WwtError::DeadlineExceeded(_))) {
-            self.counters.deadline_exceeded.inc();
-        }
-        if let Ok(response) = &result {
-            if response.diagnostics.degraded {
-                self.counters.degraded_queries.inc();
-            }
-            let ms = response.diagnostics.map_stats;
-            let c = &self.counters;
-            c.map_edge_pairs_scored.add(ms.edge_pairs_scored);
-            c.map_edge_pairs_skipped.add(ms.edge_pairs_skipped);
-            c.map_edge_pairs_memoized.add(ms.edge_pairs_memoized);
-            c.map_early_exit_tables.add(ms.early_exit_tables);
-        }
-        result
-    }
-
-    /// Runs the engine outside any flight (the fallback when a flight
-    /// this caller joined was abandoned by its leader).
-    fn run_engine(
-        &self,
-        snapshot: &EngineSnapshot,
-        request: &QueryRequest,
-        key: &str,
     ) -> Result<Arc<QueryResponse>, WwtError> {
-        let response = Arc::new(self.execute(snapshot, request, &Trace::disabled())?);
-        self.counters.misses.inc();
-        if let Some(cache) = &self.cache {
-            cache.insert(key.to_string(), Arc::clone(&response));
+        let run = || snapshot.engine.answer_traced(request, trace);
+        let c = &self.counters;
+        let response = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Ok(Ok(response)) => response,
+            Ok(Err(e)) => {
+                if matches!(e, WwtError::DeadlineExceeded(_)) {
+                    c.deadline_exceeded.inc();
+                }
+                return Err(e);
+            }
+            Err(payload) => {
+                c.internal_errors.inc();
+                return Err(WwtError::Internal(format!(
+                    "query pipeline panicked: {}",
+                    wwt_pool::panic_message(payload.as_ref())
+                )));
+            }
+        };
+        if response.diagnostics.degraded {
+            c.degraded_queries.inc();
         }
-        Ok(response)
+        let ms = response.diagnostics.map_stats;
+        c.map_edge_pairs_scored.add(ms.edge_pairs_scored);
+        c.map_edge_pairs_skipped.add(ms.edge_pairs_skipped);
+        c.map_edge_pairs_memoized.add(ms.edge_pairs_memoized);
+        c.map_early_exit_tables.add(ms.early_exit_tables);
+        c.misses.inc();
+        Ok(Arc::new(response))
     }
 
     /// Answers a batch of requests concurrently, fanning them over up to
@@ -835,20 +798,24 @@ impl TableSearchService {
 fn synthetic_trace(
     request_id: &str,
     response: &QueryResponse,
-    path: Option<CachePath>,
+    path: CachePath,
     elapsed: Duration,
 ) -> TraceReport {
     let trace = Trace::enabled(request_id);
-    if let Some(path) = path {
-        trace.note("cache", path.label());
-    }
+    trace.note("cache", path.label());
     let timing = &response.diagnostics.timing;
-    trace.push_span(stage_span("probe1", timing.index1, &timing.probe1_shards));
-    trace.span("read1", timing.read1);
-    trace.push_span(stage_span("probe2", timing.index2, &timing.probe2_shards));
-    trace.span("read2", timing.read2);
-    trace.span("column_map", timing.column_map);
-    trace.span("consolidate", timing.consolidate);
+    for (stage, elapsed) in timing.stages() {
+        let shards: &[Duration] = match stage {
+            Stage::Probe1 => &timing.probe1_shards,
+            Stage::Probe2 => &timing.probe2_shards,
+            _ => &[],
+        };
+        let mut span = SpanRecord::new(stage.label(), elapsed);
+        for (i, d) in shards.iter().enumerate() {
+            span = span.with_child(SpanRecord::new(format!("shard{i}"), *d));
+        }
+        trace.push_span(span);
+    }
     trace.note("candidates", response.diagnostics.n_candidates.to_string());
     trace.note("rows", response.table.len().to_string());
     trace
@@ -863,15 +830,6 @@ fn error_trace(request_id: &str, error: &WwtError, elapsed: Duration) -> TraceRe
     trace
         .finish(elapsed)
         .expect("an enabled trace always yields a report")
-}
-
-/// One pipeline-stage span with its per-shard scatter-gather children.
-fn stage_span(name: &'static str, elapsed: Duration, shards: &[Duration]) -> SpanRecord {
-    let mut span = SpanRecord::new(name, elapsed);
-    for (i, d) in shards.iter().enumerate() {
-        span = span.with_child(SpanRecord::new(format!("shard{i}"), *d));
-    }
-    span
 }
 
 #[cfg(test)]

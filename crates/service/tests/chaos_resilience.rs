@@ -118,6 +118,33 @@ fn explain_path_isolates_panics_too() {
 /// Transient journal-append faults are absorbed by the bounded retry;
 /// a persistent fault trips sticky read-only degraded mode (mutations
 /// 503, queries unaffected) until the operator recovers the service.
+/// A flight record names the generation of the snapshot that answered,
+/// not the one serving when the query finished: an ingest landing while
+/// a slow query runs must not relabel it.
+#[test]
+fn flight_records_name_the_generation_that_answered() {
+    let _guard = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    wwt_chaos::disarm_all();
+    let service = tiny_service();
+    let req = QueryRequest::parse("country | currency")
+        .unwrap()
+        .explain(true);
+    wwt_chaos::arm("probe.shard=delay:300*1").unwrap();
+    std::thread::scope(|scope| {
+        let query = scope.spawn(|| service.answer_observed(&req, "slow-gen").unwrap());
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(service.ingest_table(volcano_table()).unwrap(), 1);
+        query.join().unwrap();
+    });
+    wwt_chaos::disarm_all();
+    let record = service
+        .find_trace("slow-gen")
+        .expect("the query was recorded");
+    assert_eq!(record.generation, 0);
+    let noted = record.trace.notes.iter().find(|(k, _)| k == "generation");
+    assert_eq!(noted.map(|(_, v)| v.as_str()), Some("0"));
+}
+
 #[test]
 fn journal_faults_retry_then_stick_read_only_then_recover() {
     let _guard = CHAOS.lock().unwrap_or_else(|e| e.into_inner());

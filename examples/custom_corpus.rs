@@ -7,7 +7,7 @@
 
 use wwt::core::features::{seg_sim, QueryView};
 use wwt::core::{MapperConfig, TableView};
-use wwt::engine::EngineBuilder;
+use wwt::engine::{EngineBuilder, QueryRequest};
 use wwt::model::Query;
 
 fn main() {
@@ -54,6 +54,6 @@ fn main() {
     println!("(column 0 wins: \"bands\" pins the header, \"black metal\" is");
     println!(" supported by frequent body content in the genre column — §3.2.1)\n");
 
-    let out = engine.answer_query(&query);
+    let out = engine.answer(&QueryRequest::new(query)).unwrap();
     println!("answer:\n{}", out.table.render(24));
 }

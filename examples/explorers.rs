@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example explorers`
 
-use wwt::engine::EngineBuilder;
+use wwt::engine::{EngineBuilder, QueryRequest};
 use wwt::model::Query;
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
     builder.add_documents(pages.iter().map(String::as_str));
     let engine = builder.build();
     let query = Query::parse("name of explorers | nationality | areas explored").unwrap();
-    let out = engine.answer_query(&query);
+    let out = engine.answer(&QueryRequest::new(query.clone())).unwrap();
 
     println!("query: {query}\n");
     for (i, lab) in out.mapping.labelings.iter().enumerate() {

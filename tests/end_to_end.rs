@@ -3,7 +3,7 @@
 //! the umbrella-level surface of deadlines and hot engine reloads.
 
 use wwt::engine::{Engine, EngineBuilder, QueryRequest};
-use wwt::model::{Label, Query, WwtError};
+use wwt::model::{Label, WwtError};
 
 fn build(pages: &[String]) -> Engine {
     let mut b = EngineBuilder::new();
@@ -47,7 +47,9 @@ fn html_to_answer_pipeline() {
     let engine = build(&pages);
     assert_eq!(engine.store().len(), 2, "form table must be rejected");
 
-    let out = engine.answer_query(&Query::parse("country | currency").unwrap());
+    let out = engine
+        .answer(&QueryRequest::parse("country | currency").unwrap())
+        .unwrap();
     assert_eq!(out.table.q(), 2);
     assert_eq!(out.table.len(), 4, "4 distinct countries");
     let india = out
@@ -79,7 +81,9 @@ fn headerless_table_rescued_by_content_overlap() {
             .to_string(),
     ];
     let engine = build(&pages);
-    let out = engine.answer_query(&Query::parse("country | currency").unwrap());
+    let out = engine
+        .answer(&QueryRequest::parse("country | currency").unwrap())
+        .unwrap();
     // The headerless table's unique row surfaces only if the table was
     // mapped via collective inference.
     assert!(
@@ -105,7 +109,9 @@ fn swapped_columns_normalized_in_answer() {
          </table></body></html>"
         .to_string()];
     let engine = build(&pages);
-    let out = engine.answer_query(&Query::parse("country | currency").unwrap());
+    let out = engine
+        .answer(&QueryRequest::parse("country | currency").unwrap())
+        .unwrap();
     let lab = &out.mapping.labelings[0];
     assert_eq!(lab.labels, vec![Label::Col(1), Label::Col(0)]);
     // The answer puts country first regardless of source order.
@@ -158,7 +164,9 @@ fn single_column_query_returns_entity_list() {
          </table></body></html>"
         .to_string()];
     let engine = build(&pages);
-    let out = engine.answer_query(&Query::parse("dog breed").unwrap());
+    let out = engine
+        .answer(&QueryRequest::parse("dog breed").unwrap())
+        .unwrap();
     assert_eq!(out.table.q(), 1);
     assert_eq!(out.table.len(), 2);
     let names: Vec<&str> = out.table.rows.iter().map(|r| r.cells[0].as_str()).collect();
