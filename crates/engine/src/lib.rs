@@ -44,9 +44,8 @@ pub use timing::StageTimings;
 // The indexed fan-out the probe scatter, the evaluation harness and the
 // service layer's `answer_batch` go through.
 pub use wwt_pool::{fan_out, try_fan_out};
-// Re-exported so callers of `answer_traced` and `StageTimings::stages`
-// need no direct wwt-obs dep.
-pub use wwt_obs::{Stage, Trace, TraceReport};
+// Re-exported so `answer_traced` callers need no direct wwt-obs dep.
+pub use wwt_obs::{Trace, TraceReport};
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,8 @@
 //! forever. A worker that finishes a request while another connection
 //! waits in the queue with no worker free puts its keep-alive
 //! connection back at the end of the queue and takes the waiting one,
-//! so busy clients cannot starve a new one (an operator's scrape). Shutdown is graceful by construction: the acceptor stops
+//! so busy clients cannot starve a new one (an operator's scrape).
+//! Shutdown is graceful by construction: the acceptor stops
 //! accepting and drops the channel sender, workers finish every request
 //! already accepted — in-flight and queued — and then exit on channel
 //! disconnect; [`ServerHandle::shutdown`] joins them all before
@@ -201,7 +202,7 @@ impl Shared {
     /// Queues a connection for the workers, or gives it back when the
     /// queue is full or closed.
     fn enqueue(&self, stream: TcpStream) -> Result<(), TrySendError<TcpStream>> {
-        let queue = self.queue.lock().unwrap();
+        let queue = self.queue.lock().expect("connection queue lock poisoned");
         let Some(tx) = queue.as_ref() else {
             return Err(TrySendError::Disconnected(stream));
         };
@@ -430,7 +431,7 @@ pub fn serve(
                     }
                 }
                 // Dropping the only sender lets workers drain out.
-                *shared.queue.lock().unwrap() = None;
+                *shared.queue.lock().expect("connection queue lock poisoned") = None;
             })
             .expect("spawn http acceptor")
     };

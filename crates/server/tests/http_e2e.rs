@@ -472,26 +472,25 @@ fn a_waiting_connection_is_served_while_keep_alive_clients_stay_busy() {
     let handle = serve(tiny_service(), config).unwrap();
     let addr = handle.addr();
     let stop = std::sync::atomic::AtomicBool::new(false);
+    // Released once each busy client has been served on its connection,
+    // so both workers are taken before the scrape connects.
+    let both_served = std::sync::Barrier::new(3);
     let busy_until = std::time::Instant::now() + std::time::Duration::from_secs(10);
     let waited = std::thread::scope(|scope| {
         for _ in 0..2 {
-            let stop = &stop;
+            let (stop, both_served) = (&stop, &both_served);
             scope.spawn(move || {
                 let mut client = HttpClient::connect(addr).unwrap();
+                assert_eq!(client.get("/healthz").unwrap().status, 200);
+                both_served.wait();
                 while !stop.load(std::sync::atomic::Ordering::Relaxed)
                     && std::time::Instant::now() < busy_until
                 {
-                    // A closed connection (the server hands the worker to
-                    // the waiting one) is reopened, as a real client would.
-                    match client.get("/healthz") {
-                        Ok(r) if r.header("connection") != Some("close") => {}
-                        _ => client = HttpClient::connect(addr).unwrap(),
-                    }
+                    assert_eq!(client.get("/healthz").unwrap().status, 200);
                 }
             });
         }
-        // Let both busy clients take a worker each.
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        both_served.wait();
         let t0 = std::time::Instant::now();
         let mut scrape = HttpClient::connect(addr).unwrap();
         let status = scrape.get("/healthz").map(|r| r.status);
