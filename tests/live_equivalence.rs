@@ -7,15 +7,20 @@
 //!
 //! Pre-compaction the delta path is checked for *liveness* (every
 //! ingested table answers queries immediately) rather than byte
-//! equality: delta hits are scored against merged corpus statistics
-//! while frozen hits keep their freeze-time statistics, an approximation
-//! compaction erases by construction.
+//! equality against a from-scratch build: delta hits are scored against
+//! merged corpus statistics while frozen hits keep their freeze-time
+//! statistics, an approximation compaction erases by construction. What
+//! *is* byte-exact before compaction is independence from batching: the
+//! same mutation sequence applied as one batch, one op per batch, in
+//! random chunks, or through journal replay answers identically.
 
 mod support;
 
+use std::collections::BTreeMap;
 use support::{canonical_bytes, corpus, extracted_tables, from_scratch, splitmix, ALGORITHMS};
-use wwt::engine::{Engine, QueryOptions, QueryRequest};
-use wwt::model::WebTable;
+use wwt::engine::{Engine, EngineMutation, QueryOptions, QueryRequest};
+use wwt::index::{table_to_json, JournalRecord};
+use wwt::model::{TableId, WebTable};
 
 /// Splits tables into (base, delta) halves and grows the base engine
 /// one `with_table_added` at a time — the library-level equivalent of N
@@ -178,4 +183,123 @@ fn compacted_engine_roundtrips_through_persistence() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A table with `content`'s headers, rows and context under `id`: a
+/// re-ingest of an existing id with new content.
+fn rebound(content: &WebTable, id: TableId) -> WebTable {
+    let mut table = content.clone();
+    table.id = id;
+    table
+}
+
+#[test]
+fn answers_do_not_depend_on_how_mutations_are_batched() {
+    let (generated, queries) = corpus(3, 0.05);
+    let tables = extracted_tables(&generated);
+    let base: Vec<WebTable> = tables.iter().step_by(2).cloned().collect();
+    let mut fresh = tables.iter().skip(1).step_by(2).cloned();
+    let engine = from_scratch(base.clone());
+
+    // A seeded op list over a simulated logical corpus: new adds,
+    // re-adds of delta ids, overrides of frozen ids, removals of delta
+    // and frozen ids, and one removal of an id that exists nowhere.
+    let mut state = 0xBA7C_4E5D_0F1E_2A3B_u64;
+    let mut logical: BTreeMap<TableId, WebTable> = base.iter().map(|t| (t.id, t.clone())).collect();
+    let mut delta_ids: Vec<TableId> = Vec::new();
+    let missing = TableId(u32::MAX - 7);
+    let mut mutations: Vec<EngineMutation> = Vec::new();
+    let mut draw = |n: usize| (splitmix(&mut state) as usize) % n;
+    for step in 0..90 {
+        if step == 45 {
+            mutations.push(EngineMutation::Remove(missing));
+            continue;
+        }
+        let mutation = match draw(10) {
+            0..=3 => match fresh.next() {
+                Some(table) => {
+                    delta_ids.push(table.id);
+                    EngineMutation::Add(table)
+                }
+                None => continue,
+            },
+            4 | 5 if !delta_ids.is_empty() => {
+                let id = delta_ids[draw(delta_ids.len())];
+                EngineMutation::Add(rebound(&tables[draw(tables.len())], id))
+            }
+            6 => EngineMutation::Add(rebound(
+                &tables[draw(tables.len())],
+                base[draw(base.len())].id,
+            )),
+            7 | 8 if !delta_ids.is_empty() => {
+                EngineMutation::Remove(delta_ids.remove(draw(delta_ids.len())))
+            }
+            _ => EngineMutation::Remove(base[draw(base.len())].id),
+        };
+        match &mutation {
+            EngineMutation::Add(table) => {
+                logical.insert(table.id, table.clone());
+            }
+            EngineMutation::Remove(id) => {
+                logical.remove(id);
+            }
+        }
+        mutations.push(mutation);
+    }
+
+    let one_batch = engine.with_mutations_applied(mutations.clone());
+    let per_op = mutations.iter().fold(engine.clone(), |e, m| {
+        e.with_mutations_applied(vec![m.clone()])
+    });
+    let mut chunked = engine.clone();
+    let mut rest = &mutations[..];
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at((1 + draw(40)).min(rest.len()));
+        chunked = chunked.with_mutations_applied(chunk.to_vec());
+        rest = tail;
+    }
+    let records: Vec<JournalRecord> = mutations
+        .iter()
+        .map(|m| match m {
+            EngineMutation::Add(table) => JournalRecord::AddTable(table_to_json(table)),
+            EngineMutation::Remove(id) => JournalRecord::RemoveTable(*id),
+        })
+        .collect();
+    let replayed = engine.with_journal_replayed(&records).unwrap();
+
+    let batchings = [
+        ("one op per batch", &per_op),
+        ("seeded chunks", &chunked),
+        ("journal replay", &replayed),
+    ];
+    for engine in std::iter::once(&one_batch).chain(batchings.iter().map(|(_, e)| *e)) {
+        assert!(engine.is_live());
+        assert_eq!(engine.n_tables(), logical.len());
+    }
+    for query in &queries {
+        for algorithm in ALGORITHMS {
+            let request = QueryRequest::new(query.clone()).algorithm(algorithm);
+            let expected = canonical_bytes(&request, &one_batch);
+            for (name, engine) in &batchings {
+                assert_eq!(
+                    expected,
+                    canonical_bytes(&request, engine),
+                    "{name} drifts from one batch for {request:?}"
+                );
+            }
+        }
+    }
+
+    let oracle = from_scratch(logical.into_values().collect());
+    let compacted = one_batch.compacted();
+    for query in &queries {
+        for algorithm in ALGORITHMS {
+            let request = QueryRequest::new(query.clone()).algorithm(algorithm);
+            assert_eq!(
+                canonical_bytes(&request, &oracle),
+                canonical_bytes(&request, &compacted),
+                "compaction drift for {request:?}"
+            );
+        }
+    }
 }
