@@ -349,9 +349,14 @@ impl Engine {
         self.live.is_some()
     }
 
-    /// Tables in the live delta segment (0 on a frozen engine).
+    /// Tables in the live delta (0 on a frozen engine).
     pub fn delta_len(&self) -> usize {
         self.live.as_ref().map_or(0, |o| o.live.delta_len())
+    }
+
+    /// Segments the live delta is held in (0 on a frozen engine).
+    pub fn delta_segments(&self) -> usize {
+        self.live.as_ref().map_or(0, |o| o.live.delta_segments())
     }
 
     /// Tombstoned frozen tables (0 on a frozen engine).
@@ -370,9 +375,11 @@ impl Engine {
     /// A new engine with `table` added to (or replacing the same id in)
     /// the live delta segment. The frozen shards are untouched — sharing
     /// stays `Arc`-cheap — and the returned engine answers queries over
-    /// the updated corpus immediately. Cost is O(delta): the delta index
-    /// is rebuilt from its (threshold-bounded) tables plus one feature
-    /// computation for the new table. A single-op batch of
+    /// the updated corpus immediately. Cost is O(batch) plus an
+    /// amortized O(log batches) share of segment folding: the new table
+    /// is tokenized into a fresh delta segment, trailing segments fold
+    /// from their cached token lists, and one feature view is computed
+    /// for the new table. A single-op batch of
     /// [`Engine::with_mutations_applied`].
     pub fn with_table_added(&self, table: WebTable) -> Engine {
         self.with_mutations_applied(vec![EngineMutation::Add(table)])
@@ -394,22 +401,23 @@ impl Engine {
         Some(self.with_mutations_applied(vec![EngineMutation::Remove(id)]))
     }
 
-    /// A new engine with N tables added in **one** delta rebuild — the
-    /// batch-ingest path (`POST /admin/tables/batch`). Equivalent to
+    /// A new engine with N tables added as **one** delta segment — the
+    /// batch-ingest path (`POST /admin/tables/batch`). Answers like
     /// folding the tables through [`Engine::with_table_added`] one at a
-    /// time, but the delta index is rebuilt once instead of N times and
-    /// the caller publishes one generation instead of N.
+    /// time, but the segment log takes one append instead of N and the
+    /// caller publishes one generation instead of N.
     pub fn with_tables_added(&self, tables: Vec<WebTable>) -> Engine {
         self.with_mutations_applied(tables.into_iter().map(EngineMutation::Add).collect())
     }
 
-    /// Applies an ordered batch of live mutations with one delta rebuild
-    /// and returns the resulting engine. This is the single apply path
-    /// every live mutation goes through — single-table ingest/removal,
-    /// batch ingest, and journal replay — so the delta state is always
-    /// the same deterministic function of the logical mutation sequence,
-    /// which is what makes a replayed engine byte-identical to one that
-    /// took the same mutations live.
+    /// Applies an ordered batch of live mutations as one delta segment
+    /// append ([`LiveIndex::with_ops_applied`]) and returns the resulting
+    /// engine. This is the single apply path every live mutation goes
+    /// through — single-table ingest/removal, batch ingest, and journal
+    /// replay — and answers depend only on the logical corpus it leaves,
+    /// not on how the mutations were batched, which is what makes a
+    /// replayed engine byte-identical to one that took the same
+    /// mutations live.
     ///
     /// Removals of ids that exist nowhere *at their position in the
     /// batch* are skipped, matching [`Engine::with_table_removed`]
@@ -420,10 +428,9 @@ impl Engine {
         // batch so each removal sees the state its predecessors left:
         // the base overlay's view, corrected by what this batch has
         // tombstoned (`added_tombstones`) or re-added (`revived`).
-        let mut in_delta: HashSet<TableId> = match &self.live {
-            Some(o) => o.live.delta_tables().iter().map(|t| t.id).collect(),
-            None => HashSet::new(),
-        };
+        // `in_delta` holds this batch's verdict for every id it touched;
+        // the rest keep the base overlay's.
+        let mut in_delta: HashMap<TableId, bool> = HashMap::new();
         let mut added_tombstones: HashSet<TableId> = HashSet::new();
         let mut revived: HashSet<TableId> = HashSet::new();
         let mut features = self
@@ -448,7 +455,7 @@ impl Engine {
                             )),
                         );
                     }
-                    in_delta.insert(id);
+                    in_delta.insert(id, true);
                     added_tombstones.remove(&id);
                     revived.insert(id);
                     ops.push(LiveOp::Add {
@@ -462,11 +469,16 @@ impl Engine {
                         self.live.as_ref().is_some_and(|o| o.live.is_tombstoned(id));
                     let tombstoned = (base_tombstoned && !revived.contains(&id))
                         || added_tombstones.contains(&id);
-                    if !in_delta.contains(&id) && (!in_frozen || tombstoned) {
+                    let was_in_delta = *in_delta.entry(id).or_insert_with(|| {
+                        self.live
+                            .as_ref()
+                            .is_some_and(|o| o.live.delta_table(id).is_some())
+                    });
+                    if !was_in_delta && (!in_frozen || tombstoned) {
                         continue; // removing what isn't there: a no-op
                     }
                     features.remove(&id);
-                    in_delta.remove(&id);
+                    in_delta.insert(id, false);
                     if in_frozen {
                         added_tombstones.insert(id);
                         revived.remove(&id);
@@ -527,7 +539,7 @@ impl Engine {
             .filter(|t| !overlay.live.is_shadowed(t.id))
             .cloned()
             .collect();
-        tables.extend(overlay.live.delta_tables().iter().cloned());
+        tables.extend(overlay.live.delta_tables().cloned());
         tables.sort_by_key(|t| t.id);
         let mut b = EngineBuilder::with_config(self.config.clone());
         b.shards(self.n_shards());

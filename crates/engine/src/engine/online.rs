@@ -98,7 +98,7 @@ impl Engine {
         probe: Stage,
         ctx: &ExecCtx,
     ) -> Result<(Vec<SearchHit>, Vec<Duration>), WwtError> {
-        let ids: Vec<TermId> = self.index.resolve_query(tokens);
+        let ids: Vec<(TermId, f64)> = self.index.resolve_query(tokens);
         let n = self.index.n_shards();
         let probe_one = |s: usize| -> Result<(Vec<SearchHit>, Duration), WwtError> {
             ctx.check(probe_name(probe))?;
@@ -146,14 +146,14 @@ impl Engine {
 
     /// Retrieval plus the stage-1 pre-mapping it computed along the way
     /// (reusable as the final mapping when the second probe adds
-    /// nothing). Fails only when the deadline expires at the boundary
+    /// nothing; `None` when fail-soft absorbed its failure). Fails only when the deadline expires at the boundary
     /// between the first and second probe.
     fn retrieve_with(
         &self,
         query: &Query,
         cfg: &WwtConfig,
         ctx: &ExecCtx,
-    ) -> Result<(Retrieval, MappingResult), WwtError> {
+    ) -> Result<(Retrieval, Option<MappingResult>), WwtError> {
         let mut timing = StageTimings::default();
 
         // Probe 1: union of query keywords (hits far below the best match
@@ -194,26 +194,27 @@ impl Engine {
         let t0 = Instant::now();
         let mapper = self.mapper(cfg, cfg.algorithm);
         let premapped = self.map_traced(&mapper, query, &tables1, ctx, "column_map:premap");
-        let pre = ctx
-            .absorb(premapped, "column mapping (premap)")?
-            .unwrap_or_else(MappingResult::empty);
+        let pre = ctx.absorb(premapped, "column mapping (premap)")?;
         timing.column_map += t0.elapsed();
 
-        let mut seeds: Vec<usize> = if pre.labelings.len() == tables1.len() {
-            (0..tables1.len())
-                .filter(|&i| {
-                    pre.table_relevance[i] >= cfg.high_relevance && pre.labelings[i].is_relevant()
-                })
-                .collect()
-        } else {
-            // The fail-soft empty premap above: nothing to seed from.
-            Vec::new()
+        let mut seeds: Vec<usize> = match &pre {
+            Some(pre) => {
+                let mut seeds: Vec<usize> = (0..tables1.len())
+                    .filter(|&i| {
+                        pre.table_relevance[i] >= cfg.high_relevance
+                            && pre.labelings[i].is_relevant()
+                    })
+                    .collect();
+                seeds.sort_by(|&a, &b| {
+                    pre.table_relevance[b]
+                        .partial_cmp(&pre.table_relevance[a])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                seeds
+            }
+            // The fail-soft absorbed premap above: nothing to seed from.
+            None => Vec::new(),
         };
-        seeds.sort_by(|&a, &b| {
-            pre.table_relevance[b]
-                .partial_cmp(&pre.table_relevance[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
         seeds.truncate(2);
         ctx.note("probe2_seeds", || seeds.len().to_string());
 
@@ -335,14 +336,21 @@ impl Engine {
         // Stage boundary: candidate tables are in hand; mapping is the
         // most expensive online stage, so refuse it on a spent budget —
         // or, fail-soft, cut it back to the first-probe candidates the
-        // stage-1 pre-mapping already labeled.
-        let mapping_cut = ctx.boundary(
-            "column mapping",
-            "limited to first-probe candidates (deadline exceeded)",
-        )?;
+        // stage-1 pre-mapping already labeled. With no premap to reuse
+        // (it was absorbed), a remap could only trip the same deadline:
+        // the cut then keeps no candidate and the mapper never runs.
+        let (consequence, kept) = match premap {
+            Some(_) => (
+                "limited to first-probe candidates (deadline exceeded)",
+                retrieval.stage1.len(),
+            ),
+            None => ("skipped, no premap to reuse (deadline exceeded)", 0),
+        };
+        let mapping_cut = ctx.boundary("column mapping", consequence)?;
         if mapping_cut {
-            candidates.truncate(retrieval.stage1.len());
+            candidates.truncate(kept);
         }
+        let premap = premap.unwrap_or_else(MappingResult::empty);
 
         let t0 = Instant::now();
         let mut tables: Vec<&WebTable> =

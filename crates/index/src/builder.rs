@@ -182,6 +182,51 @@ pub(crate) fn distinct_docs(post: &Postings) -> u32 {
     count
 }
 
+/// One table tokenized into its three index fields: per field, each
+/// distinct token with its term frequency, plus the field's token count.
+/// [`IndexBuilder::add_table`] is "tokenize, then [`IndexBuilder::
+/// add_doc`]"; the live delta caches these lists so folding segments
+/// never re-tokenizes a table.
+#[derive(Debug)]
+pub(crate) struct DocTokens {
+    pub(crate) table: TableId,
+    terms: [Vec<(String, u32)>; 3],
+    lens: [u32; 3],
+}
+
+impl DocTokens {
+    /// Tokenizes `t`'s header, context and content text.
+    pub(crate) fn of(t: &WebTable) -> Self {
+        let field_text = [
+            t.all_header_text(),
+            t.all_context_text(),
+            t.all_content_text(),
+        ];
+        let mut terms: [Vec<(String, u32)>; 3] = Default::default();
+        let mut lens = [0u32; 3];
+        for f in Field::ALL {
+            let mut tf: HashMap<String, u32> = HashMap::new();
+            let mut n_tokens = 0u32;
+            tokenize_each(&field_text[f.dense()], |tok| {
+                n_tokens += 1;
+                match tf.get_mut(tok) {
+                    Some(count) => *count += 1,
+                    None => {
+                        tf.insert(tok.to_string(), 1);
+                    }
+                }
+            });
+            lens[f.dense()] = n_tokens;
+            terms[f.dense()] = tf.into_iter().collect();
+        }
+        DocTokens {
+            table: t.id,
+            terms,
+            lens,
+        }
+    }
+}
+
 /// Accumulates table documents and freezes them into a [`TableIndex`].
 #[derive(Default)]
 pub struct IndexBuilder {
@@ -202,37 +247,31 @@ impl IndexBuilder {
     /// Indexes one table as a three-field document. Tables should be added
     /// in ascending id order for best locality, but any order works.
     pub fn add_table(&mut self, t: &WebTable) {
-        let doc = self.doc_tables.len() as u32;
-        self.doc_tables.push(t.id);
+        self.add_doc(&DocTokens::of(t));
+    }
 
-        let field_text = [
-            t.all_header_text(),
-            t.all_context_text(),
-            t.all_content_text(),
-        ];
-        let mut lens = [0u32; 3];
+    /// Indexes one already tokenized table as the next document.
+    pub(crate) fn add_doc(&mut self, tokens: &DocTokens) {
+        let doc = self.doc_tables.len() as u32;
+        self.doc_tables.push(tokens.table);
         for f in Field::ALL {
-            let mut tf: HashMap<String, u32> = HashMap::new();
-            let mut n_tokens = 0u32;
-            tokenize_each(&field_text[f.dense()], |tok| {
-                n_tokens += 1;
-                match tf.get_mut(tok) {
-                    Some(count) => *count += 1,
+            for (tok, count) in &tokens.terms[f.dense()] {
+                let posting = Posting {
+                    doc,
+                    tf: *count,
+                    sqrt_tf: (*count as f64).sqrt(),
+                };
+                match self.postings.get_mut(tok.as_str()) {
+                    Some(post) => post.per_field[f.dense()].push(posting),
                     None => {
-                        tf.insert(tok.to_string(), 1);
+                        let mut post = Postings::default();
+                        post.per_field[f.dense()].push(posting);
+                        self.postings.insert(tok.clone(), post);
                     }
                 }
-            });
-            lens[f.dense()] = n_tokens;
-            for (tok, count) in tf {
-                self.postings.entry(tok).or_default().per_field[f.dense()].push(Posting {
-                    doc,
-                    tf: count,
-                    sqrt_tf: (count as f64).sqrt(),
-                });
             }
         }
-        self.field_lens.push(lens);
+        self.field_lens.push(tokens.lens);
     }
 
     /// Number of documents added so far.

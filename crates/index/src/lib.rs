@@ -28,7 +28,7 @@
 //! relabeling); [`persist::save_sharded`]/[`persist::load_sharded`]
 //! round-trip the partitioned layout through a versioned manifest.
 //!
-//! Live mutations ride [`live`] (the mutable delta segment) and are made
+//! Live mutations ride [`live`] (the log-structured delta) and are made
 //! durable by [`journal`] — a length-prefixed, checksummed write-ahead
 //! log whose reader tolerates torn tails, so acknowledged ingests
 //! survive a crash and replay at boot.

@@ -1,32 +1,52 @@
-//! Mutable overlay over a frozen [`ShardedIndex`]: the **delta segment**.
+//! Mutable overlay over a frozen [`ShardedIndex`]: the **delta**.
 //!
 //! The frozen index is immutable by design — that is what makes its
 //! probes lock-free and its persistence byte-stable. Live ingest
 //! therefore never touches it: a [`LiveIndex`] pairs the frozen shards
-//! with a small mutable picture of everything that changed since the
-//! last compaction:
+//! with a small picture of everything that changed since the last
+//! compaction:
 //!
-//! * **delta tables** — newly ingested (or re-ingested) tables, indexed
-//!   in their own small [`TableIndex`] rebuilt once per mutation *batch*
-//!   ([`LiveIndex::with_ops_applied`] — N ops, one rebuild; the delta
-//!   is bounded by the compaction threshold, so a rebuild is
-//!   milliseconds, not a full corpus build);
+//! * **delta segments** — newly ingested (or re-ingested) tables, held
+//!   in a log of immutable, `Arc`-shared segments. Each segment keeps its
+//!   tables, their cached token lists and a small [`TableIndex`] over
+//!   them;
 //! * **tombstones** — frozen tables deleted since the last compaction;
 //! * **overridden** — frozen table ids shadowed by a delta re-ingest
 //!   (the delta copy wins).
+//!
+//! ## Segments and folds
+//!
+//! A mutation batch ([`LiveIndex::with_ops_applied`]) tokenizes only its
+//! own surviving adds, into one new segment. Segments fold by binary
+//! counter: every segment carries the number of batches folded into it
+//! (a power of two, strictly decreasing from the oldest segment to the
+//! newest), and a new one-batch segment absorbs the trailing segments
+//! its carry reaches — rebuilt from their cached token lists, never
+//! re-tokenized. So a batch costs O(its own tables) plus an amortized
+//! O(log batches) share of folding, and after `n` batches at most
+//! ⌈log₂ n⌉ + 1 segments exist. A removal or re-add of a delta id
+//! rebuilds only the segment holding it (again from cached lists); a
+//! segment left empty is dropped.
 //!
 //! Ranked probes merge frozen and delta hits under the one total order
 //! every sorter in the repo uses ([`SearchHit::rank_order`]), after
 //! over-fetching the frozen side by the number of shadowed tables so
 //! filtering tombstoned hits can never starve the top-k.
 //!
-//! ## Scoring statistics: the documented approximation
+//! ## Scoring statistics: merged at probe time
 //!
 //! Delta hits are scored against the **merged** document frequencies
-//! (frozen df + delta df, N = frozen N + delta N), so a delta table
-//! competes on the same IDF scale as the corpus it joins. Frozen hits
-//! keep their freeze-time statistics — rescoring billions of postings
-//! per ingest would defeat the point of a delta segment. The two scales
+//! (frozen df + Σ segment df, N = frozen N + delta N), so a delta table
+//! competes on the same IDF scale as the corpus it joins. The merge
+//! happens per query term at probe time ([`LiveIndex::delta_search`]),
+//! and every segment scores through the one scorer
+//! ([`TableIndex::search_ids`]) with that IDF: a document's score is
+//! summed in the same order, from the same operands, as in one index
+//! over the whole delta, so answers do not depend on how the mutations
+//! were batched into segments.
+//!
+//! Frozen hits keep their freeze-time statistics — rescoring billions of
+//! postings per ingest would defeat the point of a delta. The two scales
 //! differ by at most the delta's contribution to df/N, which the
 //! compaction threshold keeps small; **compaction erases the
 //! approximation entirely** (a compacted engine is byte-identical to a
@@ -34,17 +54,19 @@
 //! `tests/live_equivalence.rs` asserts).
 //!
 //! A `LiveIndex` is itself immutable: mutations return a new value
-//! (sharing the frozen `Arc`), so a server can publish each one through
-//! its generation-tagged engine slot without locking readers.
+//! (sharing the frozen `Arc` and every untouched segment), so a server
+//! can publish each one through its generation-tagged engine slot
+//! without locking readers.
 
+use crate::builder::DocTokens;
 use crate::field::Field;
 use crate::search::{DocSets, SearchHit, TableIndex};
 use crate::shard::ShardedIndex;
 use crate::IndexBuilder;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 use wwt_model::{TableId, WebTable};
-use wwt_text::{CorpusStats, TermDict, TermId};
+use wwt_text::CorpusStats;
 
 /// One mutation in a batch handed to [`LiveIndex::with_ops_applied`].
 ///
@@ -70,14 +92,52 @@ pub enum LiveOp {
     },
 }
 
+/// One delta table with its cached token lists.
+#[derive(Debug)]
+struct DeltaDoc {
+    table: WebTable,
+    tokens: DocTokens,
+}
+
+/// An immutable run of delta tables and the index over exactly them.
+#[derive(Debug)]
+struct DeltaSegment {
+    /// Ascending by table id; `docs[i]` is doc `i` of `index`.
+    docs: Vec<Arc<DeltaDoc>>,
+    /// Scores with IDF passed in at probe time; its own statistics
+    /// supply the segment's document frequencies.
+    index: TableIndex,
+    /// Batches folded into this segment: its binary-counter rank.
+    batches: usize,
+}
+
+impl DeltaSegment {
+    /// Indexes `docs` from their cached token lists.
+    fn new(mut docs: Vec<Arc<DeltaDoc>>, batches: usize) -> Self {
+        docs.sort_unstable_by_key(|d| d.table.id);
+        let mut b = IndexBuilder::new();
+        for d in &docs {
+            b.add_doc(&d.tokens);
+        }
+        DeltaSegment {
+            index: b.build(),
+            docs,
+            batches,
+        }
+    }
+
+    fn find(&self, id: TableId) -> Option<&WebTable> {
+        let i = self.docs.binary_search_by_key(&id, |d| d.table.id).ok()?;
+        Some(&self.docs[i].table)
+    }
+}
+
 /// A frozen [`ShardedIndex`] plus the mutable delta riding on top of it.
 #[derive(Debug)]
 pub struct LiveIndex {
     frozen: Arc<ShardedIndex>,
-    /// Delta tables sorted ascending by id (deterministic rebuild order).
-    delta_tables: Vec<WebTable>,
-    /// Index over exactly `delta_tables`, scored with merged statistics.
-    delta: TableIndex,
+    /// The delta, oldest segment first; ranks strictly decreasing.
+    segments: Vec<Arc<DeltaSegment>>,
     /// Frozen tables deleted since the last compaction.
     tombstones: BTreeSet<TableId>,
     /// Frozen tables shadowed by a delta re-ingest of the same id.
@@ -87,11 +147,9 @@ pub struct LiveIndex {
 impl LiveIndex {
     /// An overlay with an empty delta: answers exactly like `frozen`.
     pub fn empty(frozen: Arc<ShardedIndex>) -> Self {
-        let delta = build_delta_index(&frozen, &[]);
         LiveIndex {
             frozen,
-            delta_tables: Vec::new(),
-            delta,
+            segments: Vec::new(),
             tombstones: BTreeSet::new(),
             overridden: BTreeSet::new(),
         }
@@ -129,21 +187,21 @@ impl LiveIndex {
         }])
     }
 
-    /// Applies a whole batch of mutations with **one** delta-index
-    /// rebuild, instead of the O(delta) rebuild every individual
-    /// mutation used to pay. The set mutations (delta membership,
-    /// tombstones, overrides) apply in batch order — so an add and a
-    /// remove of the same id interact exactly as they would applied one
-    /// by one — and the delta index is rebuilt once over the final
-    /// table set. Because the rebuilt index is a pure function of that
-    /// final set (tables sorted ascending by id), the result is
-    /// identical to folding the ops through [`Self::with_table_added`] /
-    /// [`Self::with_table_removed`] sequentially; this is what makes
-    /// journal replay reproduce the live engine byte-for-byte.
+    /// Applies a whole batch of mutations. The set mutations (delta
+    /// membership, tombstones, overrides) apply in batch order — so an
+    /// add and a remove of the same id interact exactly as they would
+    /// applied one by one. Then every id the batch touched leaves the
+    /// older segments (each holder rebuilt from its cached token lists),
+    /// the batch's surviving adds — and only they — are tokenized into
+    /// one new segment, and trailing segments fold into it by binary
+    /// counter. Answers depend only on the resulting logical table set,
+    /// not on how the mutations were batched; this is what makes journal
+    /// replay reproduce the live engine byte-for-byte.
     pub fn with_ops_applied(&self, ops: Vec<LiveOp>) -> Self {
-        let mut delta_tables = self.delta_tables.clone();
         let mut tombstones = self.tombstones.clone();
         let mut overridden = self.overridden.clone();
+        let mut added: BTreeMap<TableId, WebTable> = BTreeMap::new();
+        let mut touched: HashSet<TableId> = HashSet::new();
         for op in ops {
             match op {
                 LiveOp::Add {
@@ -151,8 +209,8 @@ impl LiveIndex {
                     overrides_frozen,
                 } => {
                     let id = table.id;
-                    delta_tables.retain(|t| t.id != id);
-                    delta_tables.push(table);
+                    touched.insert(id);
+                    added.insert(id, table);
                     tombstones.remove(&id); // a re-add revives a deleted id
                     if overrides_frozen {
                         overridden.insert(id);
@@ -162,7 +220,8 @@ impl LiveIndex {
                     id,
                     tombstone_frozen,
                 } => {
-                    delta_tables.retain(|t| t.id != id);
+                    touched.insert(id);
+                    added.remove(&id);
                     overridden.remove(&id);
                     if tombstone_frozen {
                         tombstones.insert(id);
@@ -170,21 +229,53 @@ impl LiveIndex {
                 }
             }
         }
-        delta_tables.sort_by_key(|t| t.id);
-        let refs: Vec<&WebTable> = delta_tables.iter().collect();
-        let delta = build_delta_index(&self.frozen, &refs);
+        let mut segments: Vec<Arc<DeltaSegment>> = Vec::with_capacity(self.segments.len() + 1);
+        for seg in &self.segments {
+            if !touched.iter().any(|&id| seg.find(id).is_some()) {
+                segments.push(Arc::clone(seg));
+                continue;
+            }
+            let docs: Vec<Arc<DeltaDoc>> = seg
+                .docs
+                .iter()
+                .filter(|d| !touched.contains(&d.table.id))
+                .cloned()
+                .collect();
+            if !docs.is_empty() {
+                segments.push(Arc::new(DeltaSegment::new(docs, seg.batches)));
+            }
+        }
+        let mut docs: Vec<Arc<DeltaDoc>> = added
+            .into_values()
+            .map(|table| {
+                let tokens = DocTokens::of(&table);
+                Arc::new(DeltaDoc { table, tokens })
+            })
+            .collect();
+        if !docs.is_empty() {
+            let mut batches = 1;
+            while let Some(last) = segments.pop_if(|s| s.batches == batches) {
+                docs.extend(last.docs.iter().cloned());
+                batches *= 2;
+            }
+            segments.push(Arc::new(DeltaSegment::new(docs, batches)));
+        }
         LiveIndex {
             frozen: Arc::clone(&self.frozen),
-            delta_tables,
-            delta,
+            segments,
             tombstones,
             overridden,
         }
     }
 
-    /// Number of tables in the delta segment.
+    /// Number of tables in the delta.
     pub fn delta_len(&self) -> usize {
-        self.delta_tables.len()
+        self.segments.iter().map(|s| s.docs.len()).sum()
+    }
+
+    /// Number of segments the delta is held in.
+    pub fn delta_segments(&self) -> usize {
+        self.segments.len()
     }
 
     /// Number of tombstoned frozen tables.
@@ -199,7 +290,7 @@ impl LiveIndex {
 
     /// True when the delta carries no mutations at all.
     pub fn is_empty(&self) -> bool {
-        self.delta_tables.is_empty() && self.tombstones.is_empty() && self.overridden.is_empty()
+        self.segments.is_empty() && self.tombstones.is_empty() && self.overridden.is_empty()
     }
 
     /// True when frozen hits for this table must be dropped.
@@ -212,26 +303,59 @@ impl LiveIndex {
         self.tombstones.contains(&id)
     }
 
-    /// The delta's copy of a table, if it has one.
+    /// The delta's copy of a table, if it has one: a binary search in
+    /// each of the O(log batches) id-sorted segments.
     pub fn delta_table(&self, id: TableId) -> Option<&WebTable> {
-        self.delta_tables.iter().find(|t| t.id == id)
+        self.segments.iter().find_map(|s| s.find(id))
     }
 
-    /// The delta tables, ascending by id.
-    pub fn delta_tables(&self) -> &[WebTable] {
-        &self.delta_tables
+    /// The delta tables, segment by segment (ascending by id within a
+    /// segment).
+    pub fn delta_tables(&self) -> impl Iterator<Item = &WebTable> {
+        self.segments
+            .iter()
+            .flat_map(|s| s.docs.iter().map(|d| &d.table))
     }
 
     /// Logical table count: frozen minus shadowed, plus delta.
     pub fn n_tables(&self) -> usize {
-        self.frozen.n_docs() - self.shadowed_len() + self.delta_tables.len()
+        self.frozen.n_docs() - self.shadowed_len() + self.delta_len()
     }
 
-    /// Ranked probe over the delta segment only (the engine merges these
-    /// with its scatter-gathered frozen hits under
-    /// [`SearchHit::rank_order`]).
+    /// Ranked probe over the delta only (the engine merges these with
+    /// its scatter-gathered frozen hits under [`SearchHit::rank_order`]).
+    /// Each distinct query token, in query order, scores at the IDF of
+    /// its merged df (frozen df + Σ segment df, N = frozen N + delta N);
+    /// tokens no delta table holds are dropped. Every segment then scores
+    /// through [`TableIndex::search_ids`] and the per-segment top-k lists
+    /// merge under the global total order.
     pub fn delta_search(&self, tokens: &[String], k: usize) -> Vec<SearchHit> {
-        self.delta.search(tokens, k)
+        if self.segments.is_empty() {
+            return Vec::new();
+        }
+        let n_docs = self.frozen.stats().n_docs() + self.delta_len() as u64;
+        let mut seen = HashSet::with_capacity(tokens.len());
+        let mut terms: Vec<(&str, f64)> = Vec::with_capacity(tokens.len());
+        for t in tokens {
+            if !seen.insert(t.as_str()) {
+                continue;
+            }
+            let delta_df: u32 = self.segments.iter().map(|s| s.index.stats().df(t)).sum();
+            if delta_df > 0 {
+                let df = delta_df + self.frozen.stats().df(t);
+                terms.push((t, CorpusStats::idf_of(n_docs, df)));
+            }
+        }
+        ShardedIndex::merge_hits(
+            self.segments.iter().map(|s| {
+                let weighted: Vec<_> = terms
+                    .iter()
+                    .filter_map(|&(t, idf)| Some((s.index.dict.lookup(t)?, idf)))
+                    .collect();
+                s.index.search_ids(&weighted, k)
+            }),
+            k,
+        )
     }
 
     /// Ranked probe over the whole live view: frozen hits (over-fetched
@@ -240,7 +364,7 @@ impl LiveIndex {
     pub fn search(&self, tokens: &[String], k: usize) -> Vec<SearchHit> {
         let mut hits = self.frozen.search(tokens, k + self.shadowed_len());
         hits.retain(|h| !self.is_shadowed(h.table));
-        hits.extend(self.delta.search(tokens, k));
+        hits.extend(self.delta_search(tokens, k));
         hits.sort_by(SearchHit::rank_order);
         hits.truncate(k);
         hits
@@ -248,83 +372,54 @@ impl LiveIndex {
 
     /// The table id behind a doc id handed out by this overlay's
     /// [`DocSets`] impl: frozen ids keep their global ids, delta ids sit
-    /// above them (offset by the frozen doc count).
+    /// above them, each segment's offset by the doc counts before it.
     pub fn table_of_doc(&self, doc: u32) -> TableId {
         let n_frozen = self.frozen.n_docs() as u32;
         if doc < n_frozen {
-            self.frozen.table_of_doc(doc)
-        } else {
-            self.delta.table_of_doc(doc - n_frozen)
+            return self.frozen.table_of_doc(doc);
         }
+        let mut local = (doc - n_frozen) as usize;
+        for s in &self.segments {
+            if local < s.docs.len() {
+                return s.docs[local].table.id;
+            }
+            local -= s.docs.len();
+        }
+        panic!("doc {doc} is beyond the live view")
     }
 }
 
 impl DocSets for LiveIndex {
     /// Conjunctive probe over the live view: the frozen result with
-    /// shadowed tables filtered out, then the delta result relabeled
-    /// above the frozen id space — sorted overall, and mutually
-    /// consistent across probes of the same overlay (all PMI² needs).
-    /// The expensive sub-probes are memoized inside the frozen facade
-    /// and the delta index; the filter-and-offset pass here is linear in
-    /// the result and cheap enough to redo per call.
+    /// shadowed tables filtered out, then each segment's result relabeled
+    /// above the frozen id space at that segment's offset — sorted
+    /// overall, and mutually consistent across probes of the same
+    /// overlay (all PMI² needs: it reads only set sizes). The expensive
+    /// sub-probes are memoized inside the frozen facade and each segment
+    /// index; the filter-and-offset pass here is linear in the result
+    /// and cheap enough to redo per call.
     fn docs_with_all(&self, tokens: &[String], fields: &[Field]) -> Arc<Vec<u32>> {
         let frozen = self.frozen.docs_with_all(tokens, fields);
-        let delta = self.delta.docs_with_all(tokens, fields);
-        if self.shadowed_len() == 0 && delta.is_empty() {
+        let deltas: Vec<Arc<Vec<u32>>> = self
+            .segments
+            .iter()
+            .map(|s| s.index.docs_with_all(tokens, fields))
+            .collect();
+        if self.shadowed_len() == 0 && deltas.iter().all(|d| d.is_empty()) {
             return frozen;
         }
-        let n_frozen = self.frozen.n_docs() as u32;
         let mut out: Vec<u32> = frozen
             .iter()
             .copied()
             .filter(|&d| !self.is_shadowed(self.frozen.table_of_doc(d)))
             .collect();
-        out.extend(delta.iter().map(|&d| n_frozen + d));
+        let mut offset = self.frozen.n_docs() as u32;
+        for (s, docs) in self.segments.iter().zip(&deltas) {
+            out.extend(docs.iter().map(|&d| offset + d));
+            offset += s.docs.len() as u32;
+        }
         Arc::new(out)
     }
-}
-
-/// Builds the delta's index: the delta tables frozen into a standalone
-/// [`TableIndex`] whose statistics are the **merged** corpus — each
-/// delta term's df is its delta df plus the frozen df, and N is the sum
-/// of both doc counts — so delta scores live on the corpus's IDF scale.
-fn build_delta_index(frozen: &ShardedIndex, tables: &[&WebTable]) -> TableIndex {
-    let mut b = IndexBuilder::new();
-    for t in tables {
-        b.add_table(t);
-    }
-    let shard = b.freeze();
-    let merged_n = frozen.stats().n_docs() + shard.doc_tables.len() as u64;
-    let merged_dfs: Vec<u32> = shard
-        .terms
-        .iter()
-        .zip(&shard.dfs)
-        .map(|(term, &df)| df + frozen.stats().df(term))
-        .collect();
-    let dict = Arc::new(TermDict::from_sorted_terms(shard.terms));
-    let stats = Arc::new(CorpusStats::from_shared_dict(
-        merged_n,
-        Arc::clone(&dict),
-        merged_dfs,
-    ));
-    let idf = Arc::new(
-        (0..dict.len() as u32)
-            .map(|i| stats.idf_id(TermId(i)))
-            .collect::<Vec<f64>>(),
-    );
-    let postings = shard
-        .postings
-        .into_iter()
-        .map(|p| Some(Box::new(p)))
-        .collect();
-    TableIndex::from_interned_parts(
-        dict,
-        postings,
-        shard.doc_tables,
-        shard.field_lens,
-        stats,
-        idf,
-    )
 }
 
 #[cfg(test)]
@@ -520,6 +615,92 @@ mod tests {
             for (h1, h2) in x.iter().zip(&y) {
                 assert_eq!(h1.table, h2.table);
                 assert_eq!(h1.score.to_bits(), h2.score.to_bits());
+            }
+        }
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn segments_answer_like_one_batch_whatever_the_batching() {
+        const WORDS: [&str; 12] = [
+            "volcano", "river", "country", "currency", "peak", "lake", "city", "rupee", "etna",
+            "nile", "height", "entity0",
+        ];
+        let mut state = 0x5E6_0E17_u64;
+        let word = |s: &mut u64| WORDS[(splitmix(s) % WORDS.len() as u64) as usize];
+        let mut ops = Vec::new();
+        for step in 0..120u32 {
+            let r = splitmix(&mut state) % 8;
+            ops.push(if r < 6 {
+                // New ids and re-adds of earlier ones, some overriding
+                // frozen ids (below 20).
+                let id = (splitmix(&mut state) % 70) as u32;
+                let header = format!("{},{}", word(&mut state), word(&mut state));
+                let context = format!("{} {} {step}", word(&mut state), word(&mut state));
+                let cells = [word(&mut state), word(&mut state)];
+                LiveOp::Add {
+                    table: table(id, &header, &context, &cells),
+                    overrides_frozen: id < 20,
+                }
+            } else {
+                let id = (splitmix(&mut state) % 70) as u32;
+                LiveOp::Remove {
+                    id: TableId(id),
+                    tombstone_frozen: id < 20,
+                }
+            });
+        }
+        let f = frozen(20, 2);
+        let one = LiveIndex::empty(Arc::clone(&f)).with_ops_applied(ops.clone());
+        let probes = [
+            "volcano height",
+            "rupee country currency",
+            "nile nile lake",
+            "entity0",
+        ];
+        for max_chunk in [1u64, 3, 7, 40] {
+            let mut live = LiveIndex::empty(Arc::clone(&f));
+            let mut batches = 0usize;
+            let mut rest = &ops[..];
+            while !rest.is_empty() {
+                let n = (1 + splitmix(&mut state) % max_chunk) as usize;
+                let (chunk, tail) = rest.split_at(n.min(rest.len()));
+                live = live.with_ops_applied(chunk.to_vec());
+                batches += 1;
+                rest = tail;
+                let bound = batches.next_power_of_two().trailing_zeros() as usize + 1;
+                assert!(
+                    live.delta_segments() <= bound,
+                    "{} segments after {batches} batches",
+                    live.delta_segments()
+                );
+            }
+            assert_eq!(live.delta_len(), one.delta_len());
+            assert!(max_chunk == 40 || live.delta_segments() > 1, "{max_chunk}");
+            for probe in probes {
+                let (a, b) = (
+                    one.delta_search(&toks(probe), 8),
+                    live.delta_search(&toks(probe), 8),
+                );
+                assert_eq!(a.len(), b.len(), "{probe:?} chunks of ≤ {max_chunk}");
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.table, y.table, "{probe:?} chunks of ≤ {max_chunk}");
+                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "{probe:?}");
+                }
+                for fields in [&[Field::Header, Field::Context][..], &[Field::Content]] {
+                    let tables = |l: &LiveIndex| -> BTreeSet<TableId> {
+                        let docs = DocSets::docs_with_all(l, &toks(probe), fields);
+                        docs.iter().map(|&d| l.table_of_doc(d)).collect()
+                    };
+                    assert_eq!(tables(&one), tables(&live), "{probe:?} {fields:?}");
+                }
             }
         }
     }

@@ -324,21 +324,27 @@ impl TableIndex {
     ///
     /// `score(d) = Σ_f boost(f) · Σ_t idf(t) · √tf(d,f,t) / √(len_f(d)+1)`
     pub fn search(&self, tokens: &[String], k: usize) -> Vec<SearchHit> {
-        self.search_ids(&self.resolve_query(tokens), k)
+        self.search_ids(&self.weigh(&self.resolve_query(tokens)), k)
     }
 
-    /// [`TableIndex::search`] over pre-resolved term ids ([`TableIndex::
-    /// resolve_query`]); the facade and the engine resolve once and probe
-    /// every shard with the same ids.
-    pub fn search_ids(&self, ids: &[TermId], k: usize) -> Vec<SearchHit> {
+    /// Pairs resolved term ids with this index's own IDF — the weighted
+    /// terms [`TableIndex::search_ids`] scores.
+    pub fn weigh(&self, ids: &[TermId]) -> Vec<(TermId, f64)> {
+        ids.iter().map(|&id| (id, self.idf[id.index()])).collect()
+    }
+
+    /// [`TableIndex::search`] over pre-resolved terms, each with the IDF
+    /// it scores at: the facade and the engine resolve once and probe
+    /// every shard with the same weighted ids, and the live delta passes
+    /// IDF merged across its segments and the frozen corpus.
+    pub fn search_ids(&self, terms: &[(TermId, f64)], k: usize) -> Vec<SearchHit> {
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             scratch.begin(self.doc_tables.len());
-            for &id in ids {
+            for &(id, idf) in terms {
                 let Some(post) = &self.postings[id.index()] else {
                     continue;
                 };
-                let idf = self.idf[id.index()];
                 for f in Field::ALL {
                     // Same association order as the classic expression
                     // `boost * idf * √tf / √(len+1)`: hoisting the first

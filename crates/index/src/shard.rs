@@ -229,10 +229,11 @@ impl ShardedIndex {
             .flat_map(|s| s.table_ids().iter().copied())
     }
 
-    /// Resolves ranked-probe tokens against the global dictionary once —
-    /// the ids every shard's [`TableIndex::search_ids`] accepts.
-    pub fn resolve_query(&self, tokens: &[String]) -> Vec<TermId> {
-        resolve_query_ids(&self.dict, tokens)
+    /// Resolves ranked-probe tokens against the global dictionary once,
+    /// each with its global IDF — the weighted ids every shard's
+    /// [`TableIndex::search_ids`] accepts.
+    pub fn resolve_query(&self, tokens: &[String]) -> Vec<(TermId, f64)> {
+        self.shards[0].weigh(&resolve_query_ids(&self.dict, tokens))
     }
 
     /// OR-keyword probe over every shard, merged: identical output to

@@ -24,7 +24,8 @@
 //! | `wwt_http_concurrency_rejected_total` | counter | Query requests answered 429 at the concurrency limit. |
 //! | `wwt_index_shards` | gauge | Index shards the engine scatter-gathers over. |
 //! | `wwt_docset_cache_entries` | gauge | Entries in the bounded doc-set probe memo. |
-//! | `wwt_delta_tables` | gauge | Tables in the mutable delta segment. |
+//! | `wwt_delta_tables` | gauge | Tables in the live delta. |
+//! | `wwt_delta_segments` | gauge | Segments in the live delta (at most ⌈log₂ batches⌉ + 1). |
 //! | `wwt_delta_tombstones` | gauge | Frozen tables shadowed by a tombstone or re-ingested copy. |
 //! | `wwt_tables_ingested_total` | counter | Tables accepted by live ingest since boot. |
 //! | `wwt_tables_deleted_total` | counter | Tables removed by live delete since boot. |

@@ -976,7 +976,7 @@ fn ingest_table(shared: &Arc<Shared>, request: &Request) -> (Route, u16, &'stati
 
 /// `POST /admin/tables/batch`: parses the body as JSONL — one
 /// table-store JSON line per table, the same codec as the single-table
-/// route — and publishes every table in one delta rebuild, one journal
+/// route — and publishes every table as one delta segment, one journal
 /// flush, and one generation bump. All-or-nothing: a line that does not
 /// parse rejects the whole batch with 400 before the engine is touched.
 fn ingest_tables_batch(

@@ -26,6 +26,7 @@ fn fixed_stats() -> ServiceStats {
     s.deadline_exceeded = 19;
     s.docset_cache_entries = 20;
     s.delta_tables = 21;
+    s.delta_segments = 39;
     s.delta_tombstones = 22;
     s.tables_ingested = 23;
     s.tables_deleted = 24;
@@ -76,7 +77,7 @@ fn stats_body_is_pinned() {
         r#""hits":11,"misses":12,"coalesced":13,"entries":14,"shards":15,"#,
         r#""hit_rate":0.6666666666666666,"generation":17,"swap_count":18,"#,
         r#""deadline_exceeded":19,"index_shards":16,"docset_cache_entries":20,"#,
-        r#""delta_tables":21,"delta_tombstones":22,"tables_ingested":23,"#,
+        r#""delta_tables":21,"delta_segments":39,"delta_tombstones":22,"tables_ingested":23,"#,
         r#""tables_deleted":24,"compactions":25,"batches_ingested":26,"#,
         r#""journal_attached":true,"journal_records":27,"journal_bytes":28,"#,
         r#""flight_records":29,"flight_deadline_exceeded":30,"flight_zero_results":31,"#,
@@ -161,7 +162,8 @@ counter wwt_engine_reload_failures_total 3 Engine reloads that failed to build o
 counter wwt_http_concurrency_rejected_total 4 Query requests answered 429 at the per-route concurrency limit.
 gauge wwt_index_shards 16 Index shards the serving engine scatter-gathers over.
 gauge wwt_docset_cache_entries 20 Entries resident in the bounded doc-set probe memo.
-gauge wwt_delta_tables 21 Tables in the serving engine's mutable delta segment.
+gauge wwt_delta_tables 21 Tables in the serving engine's live delta.
+gauge wwt_delta_segments 39 Segments in the serving engine's delta.
 gauge wwt_delta_tombstones 22 Frozen tables shadowed by a tombstone or re-ingested copy.
 counter wwt_tables_ingested_total 23 Tables accepted by live ingest since boot.
 counter wwt_tables_deleted_total 24 Tables removed by live delete since boot.

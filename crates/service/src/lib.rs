@@ -110,7 +110,10 @@ wwt_obs::series! {
             "Entries resident in the bounded doc-set probe memo.";
         /// 0 when the engine is fully compacted.
         sampled delta_tables: usize => "delta_tables", "wwt_delta_tables", Gauge,
-            "Tables in the serving engine's mutable delta segment.";
+            "Tables in the serving engine's live delta.";
+        /// At most ⌈log₂ batches⌉ + 1; 0 when the engine is fully compacted.
+        sampled delta_segments: usize => "delta_segments", "wwt_delta_segments", Gauge,
+            "Segments in the serving engine's delta.";
         /// 0 when the engine is fully compacted.
         sampled delta_tombstones: usize => "delta_tombstones", "wwt_delta_tombstones", Gauge,
             "Frozen tables shadowed by a tombstone or re-ingested copy.";
@@ -352,7 +355,7 @@ impl TableSearchService {
         Ok(generation)
     }
 
-    /// Ingests a whole batch of tables with **one** delta rebuild, one
+    /// Ingests a whole batch of tables as **one** delta segment, one
     /// journal flush and one generation bump — the cost of N single
     /// ingests collapses to roughly the cost of one. Returns the
     /// generation now serving every table in the batch; an empty batch
@@ -773,6 +776,7 @@ impl TableSearchService {
             index_shards: snapshot.engine.n_shards(),
             docset_cache_entries: snapshot.engine.docset_cache_entries(),
             delta_tables: snapshot.engine.delta_len(),
+            delta_segments: snapshot.engine.delta_segments(),
             delta_tombstones: snapshot.engine.tombstone_len(),
             recorder: self.recorder.counters(),
             ..ServiceStats::default()

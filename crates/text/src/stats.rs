@@ -175,11 +175,20 @@ impl CorpusStats {
 
     #[inline]
     fn idf_of_df(&self, df: u32) -> f64 {
-        if self.n_docs == 0 {
+        Self::idf_of(self.n_docs, df)
+    }
+
+    /// The smoothed IDF formula of [`CorpusStats::idf`] over explicit
+    /// counts: a term in `df` of `n_docs` documents. A probe that merges
+    /// document frequencies across separately built indexes (frozen df
+    /// plus each delta segment's) gets bit-identical IDF from here.
+    #[inline]
+    pub fn idf_of(n_docs: u64, df: u32) -> f64 {
+        if n_docs == 0 {
             return 1.0;
         }
         let df = df as f64;
-        1.0 + ((1.0 + self.n_docs as f64) / (1.0 + df)).ln()
+        1.0 + ((1.0 + n_docs as f64) / (1.0 + df)).ln()
     }
 
     /// Folds another corpus's statistics into this one. Document

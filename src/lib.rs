@@ -134,8 +134,8 @@
 //!
 //! ## Live ingest
 //!
-//! The frozen engine also takes **live mutations**: a mutable delta
-//! segment ([`index::LiveIndex`]) fronts the frozen shards, so single
+//! The frozen engine also takes **live mutations**: a log-structured
+//! delta of immutable segments ([`index::LiveIndex`]) fronts the frozen shards, so single
 //! tables can be added or removed in milliseconds — no rebuild — and a
 //! background **compaction** later folds the delta into a freshly built
 //! frozen engine that is *byte-identical* to building from scratch over
@@ -170,7 +170,7 @@
 //! `WWT_MAX_DELTA_TABLES`) auto-compacts in the background once the
 //! delta holds N tables; `0` (the default) leaves compaction to the
 //! explicit route. Bulk loads go through `POST /admin/tables/batch`
-//! (JSONL, one table line per row): N tables cost one delta rebuild,
+//! (JSONL, one table line per row): N tables cost one delta segment,
 //! one journal flush and one generation bump instead of N of each.
 //! Delta scoring uses merged corpus statistics (frozen
 //! hits keep their freeze-time statistics — an approximation compaction
@@ -178,10 +178,10 @@
 //! until compacted so the on-disk layout never silently drops
 //! mutations (the error names the remedies: `POST /admin/compact`, or a
 //! journal-backed restart). Observability: `"delta_tables"`,
-//! `"delta_tombstones"`,
+//! `"delta_segments"`, `"delta_tombstones"`,
 //! `"tables_ingested"`, `"tables_deleted"` and `"compactions"` on
-//! `GET /stats`, plus the `wwt_delta_tables` / `wwt_delta_tombstones`
-//! gauges and `wwt_tables_ingested_total` / `wwt_tables_deleted_total` /
+//! `GET /stats`, plus the `wwt_delta_tables` / `wwt_delta_segments` /
+//! `wwt_delta_tombstones` gauges and `wwt_tables_ingested_total` / `wwt_tables_deleted_total` /
 //! `wwt_compactions_total` counters on `GET /metrics`.
 //!
 //! The same API in-process:
@@ -206,7 +206,7 @@
 //!     vec![],
 //! )
 //! .unwrap();
-//! let live = frozen.with_table_added(volcano); // O(delta), no rebuild
+//! let live = frozen.with_table_added(volcano); // O(batch), no rebuild
 //! let request = QueryRequest::parse("volcano | elevation").unwrap();
 //! assert!(!live.answer(&request).unwrap().table.is_empty());
 //! let compacted = live.compacted(); // byte-identical to a fresh build

@@ -449,16 +449,14 @@ fn degraded_reasons_traces_and_errors_are_pinned() {
     wwt_chaos::disarm_all();
 
     // The premap's batch sleeps past the budget: every later boundary
-    // trips.
+    // trips, and with no premap to reuse the final mapper is skipped.
     wwt_chaos::arm("map.batch=delay:1500*1").unwrap();
     assert_eq!(
         reasons(&budgeted(true)),
         [
             "column mapping (premap): deadline exceeded at column mapping",
             "second probe: skipped (deadline exceeded)",
-            "column mapping: limited to first-probe candidates (deadline exceeded)",
-            "column mapping: downgraded to independent inference (deadline pressure)",
-            "column mapping: deadline exceeded at column mapping",
+            "column mapping: skipped, no premap to reuse (deadline exceeded)",
             "consolidation: ran past the deadline",
         ]
     );
