@@ -179,7 +179,7 @@ pub struct Engine {
     /// per core — unlike `probe_threads` it is not capped by the shard
     /// count, since candidates outnumber shards).
     map_threads: usize,
-    /// Live-ingest overlay: the delta segment plus features for its
+    /// Live-ingest overlay: the delta plus features for its
     /// tables. `None` on a purely frozen engine, which then takes
     /// exactly the pre-live code paths.
     live: Option<Arc<LiveOverlay>>,
@@ -191,7 +191,7 @@ pub struct Engine {
     pair_memo: Arc<PairMemo>,
 }
 
-/// The delta segment and the bind-time state riding with it: feature
+/// The live delta and the bind-time state riding with it: feature
 /// views for delta tables, computed against the **frozen** statistics
 /// (same IDF source every other view uses, so `map_views` sees one
 /// consistent scale).
@@ -373,7 +373,7 @@ impl Engine {
     }
 
     /// A new engine with `table` added to (or replacing the same id in)
-    /// the live delta segment. The frozen shards are untouched — sharing
+    /// the live delta. The frozen shards are untouched — sharing
     /// stays `Arc`-cheap — and the returned engine answers queries over
     /// the updated corpus immediately. Cost is O(batch) plus an
     /// amortized O(log batches) share of segment folding: the new table

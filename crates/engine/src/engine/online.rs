@@ -71,7 +71,7 @@ impl Engine {
         // Live path: over-fetch the frozen shards by the number of
         // shadowed tables (so filtering tombstoned/overridden hits can
         // never starve the top-k), drop shadowed hits, then fold in the
-        // delta segment's hits under the same global total order the
+        // delta's hits under the same global total order the
         // shard merge uses.
         let shadowed = overlay.live.shadowed_len();
         let (mut hits, shard_times) = self.probe_frozen(tokens, k + shadowed, probe, ctx)?;
@@ -146,8 +146,9 @@ impl Engine {
 
     /// Retrieval plus the stage-1 pre-mapping it computed along the way
     /// (reusable as the final mapping when the second probe adds
-    /// nothing; `None` when fail-soft absorbed its failure). Fails only when the deadline expires at the boundary
-    /// between the first and second probe.
+    /// nothing; `None` when fail-soft absorbed its failure). Fails only
+    /// when the deadline expires at the boundary between the first and
+    /// second probe.
     fn retrieve_with(
         &self,
         query: &Query,

@@ -189,7 +189,7 @@ pub(crate) fn distinct_docs(post: &Postings) -> u32 {
 /// never re-tokenizes a table.
 #[derive(Debug)]
 pub(crate) struct DocTokens {
-    pub(crate) table: TableId,
+    table: TableId,
     terms: [Vec<(String, u32)>; 3],
     lens: [u32; 3],
 }

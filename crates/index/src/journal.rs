@@ -1,5 +1,5 @@
 //! Write-ahead journal for live mutations: the durability side of the
-//! delta segment.
+//! live delta.
 //!
 //! [`crate::LiveIndex`] makes single-table ingest cheap, but an
 //! uncompacted delta lives only in memory — a crash after the 202

@@ -329,7 +329,7 @@ impl TableIndex {
 
     /// Pairs resolved term ids with this index's own IDF — the weighted
     /// terms [`TableIndex::search_ids`] scores.
-    pub fn weigh(&self, ids: &[TermId]) -> Vec<(TermId, f64)> {
+    pub(crate) fn weigh(&self, ids: &[TermId]) -> Vec<(TermId, f64)> {
         ids.iter().map(|&id| (id, self.idf[id.index()])).collect()
     }
 

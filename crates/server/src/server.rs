@@ -929,7 +929,7 @@ fn find_trace(shared: &Arc<Shared>, request: &Request) -> (Route, u16, &'static 
 }
 
 /// `POST /admin/tables`: parses the body as one table-store JSON line
-/// and publishes it into the serving engine's delta segment — queryable
+/// and publishes it into the serving engine's live delta — queryable
 /// on the very next request, no rebuild. Answers 202 with the new
 /// generation. When the delta reaches `max_delta_tables`, a background
 /// compaction is kicked off (best-effort — a compaction already running

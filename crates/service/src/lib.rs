@@ -335,7 +335,7 @@ impl TableSearchService {
         &self.config
     }
 
-    /// Ingests one table into the serving engine's mutable delta segment
+    /// Ingests one table into the serving engine's live delta
     /// and publishes the result as a new generation — no full rebuild.
     /// A table whose id already exists (frozen or delta) is replaced.
     /// Returns the generation now serving the table.
@@ -395,7 +395,7 @@ impl TableSearchService {
         Ok(Some(generation))
     }
 
-    /// Folds the delta segment and tombstones into a freshly built frozen
+    /// Folds the delta and tombstones into a freshly built frozen
     /// engine — byte-identical to building from scratch over the live
     /// logical corpus — and publishes it. A no-op (returning the current
     /// generation, swapping nothing) when the engine has no live
@@ -533,7 +533,7 @@ impl TableSearchService {
         self.counters.read_only.set(0);
     }
 
-    /// Tables currently in the serving engine's delta segment.
+    /// Tables currently in the serving engine's live delta.
     pub fn delta_len(&self) -> usize {
         self.engine().delta_len()
     }

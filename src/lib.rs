@@ -135,8 +135,9 @@
 //! ## Live ingest
 //!
 //! The frozen engine also takes **live mutations**: a log-structured
-//! delta of immutable segments ([`index::LiveIndex`]) fronts the frozen shards, so single
-//! tables can be added or removed in milliseconds — no rebuild — and a
+//! delta of immutable segments ([`index::LiveIndex`]) fronts the frozen
+//! shards, so single tables can be added or removed in milliseconds — no
+//! rebuild — and a
 //! background **compaction** later folds the delta into a freshly built
 //! frozen engine that is *byte-identical* to building from scratch over
 //! the same logical corpus (`tests/live_equivalence.rs` is the
@@ -155,7 +156,7 @@
 //! {"status":"ingested","table_id":9001,"generation":1}
 //!
 //! $ curl -s -X POST http://127.0.0.1:7070/query -d '{"query":"volcano | elevation"}'
-//! # ... answers immediately, served from the delta segment
+//! # ... answers immediately, served from the delta
 //!
 //! $ curl -s -X DELETE -H 'x-admin-token: sesame' \
 //!        http://127.0.0.1:7070/admin/tables/9001      # tombstone / evict
@@ -181,8 +182,9 @@
 //! `"delta_segments"`, `"delta_tombstones"`,
 //! `"tables_ingested"`, `"tables_deleted"` and `"compactions"` on
 //! `GET /stats`, plus the `wwt_delta_tables` / `wwt_delta_segments` /
-//! `wwt_delta_tombstones` gauges and `wwt_tables_ingested_total` / `wwt_tables_deleted_total` /
-//! `wwt_compactions_total` counters on `GET /metrics`.
+//! `wwt_delta_tombstones` gauges and `wwt_tables_ingested_total` /
+//! `wwt_tables_deleted_total` / `wwt_compactions_total` counters on
+//! `GET /metrics`.
 //!
 //! The same API in-process:
 //!
